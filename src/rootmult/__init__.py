@@ -21,7 +21,6 @@ from .formula import (
     closed_form_dim,
     count_dependent,
     count_vanishing,
-    hyperbolic_dim,
     stars_and_bars,
     total_configs,
 )
@@ -45,15 +44,12 @@ from .freelie import (
     weight_of,
 )
 from .gcm import GeneralizedCartanMatrix, WeightVector, rank3_chain, symmetric_form
-from .peterson import MultiplicityTable, RecurrenceError, peterson_mult, rho_pairing
+from .peterson import MultiplicityTable, RecurrenceError
 from .serre import (
     OracleScaleError,
     SerreElement,
     SerreQuotient,
-    ideal_component_dim,
-    root_multiplicity_quotient,
     serre_elements,
-    standard_form_rank,
 )
 from .tuples import (
     CanonicalCount,
@@ -105,18 +101,12 @@ __all__ = [
     "expand_tensor",
     "format_bracket",
     "free_lie_dim",
-    "hyperbolic_dim",
-    "ideal_component_dim",
     "independent_rank_check",
     "is_dependent_pattern",
     "is_trivial_pattern",
     "parse_bracket",
-    "peterson_mult",
     "rank3_chain",
-    "rho_pairing",
-    "root_multiplicity_quotient",
     "serre_elements",
-    "standard_form_rank",
     "standard_tuples_of_weight",
     "stars_and_bars",
     "symmetric_form",

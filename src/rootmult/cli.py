@@ -12,20 +12,20 @@ witt     free Lie algebra dimension of a multidegree
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import IO, Iterable
+from dataclasses import asdict, astuple, dataclass, fields
+from typing import IO, Iterator
 
 from .formula import FormulaParams, Variant, closed_form_dim
 from .freelie import (
-    ParseError,
     expand_combination,
     expand_tensor,
     free_lie_dim,
     parse_bracket,
     to_standard_form,
+    weight_of,
 )
 from .gcm import WeightVector, rank3_chain
 from .peterson import MultiplicityTable, RecurrenceError
@@ -36,18 +36,14 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 
-CSV_HEADER = (
-    "a1,a2,n1,n2,n3,formula_section44,formula_lemma410,formula_guarded,"
-    "tuples_canonical,peterson,quotient,agree_guarded_peterson"
-)
-
-
 class OracleDisagreement(RuntimeError):
     """The two independent oracles returned different values: a hard failure."""
 
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One report row; the field order is the CSV column order and the JSON key order."""
+
     a1: int
     a2: int
     n1: int
@@ -62,47 +58,16 @@ class ComparisonRow:
     agree_guarded_peterson: bool | str
 
     def csv_line(self) -> str:
-        def cell(v: object) -> str:
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            return str(v)
-
         return ",".join(
-            cell(v)
-            for v in (
-                self.a1,
-                self.a2,
-                self.n1,
-                self.n2,
-                self.n3,
-                self.formula_section44,
-                self.formula_lemma410,
-                self.formula_guarded,
-                self.tuples_canonical,
-                self.peterson,
-                self.quotient,
-                self.agree_guarded_peterson,
-            )
+            ("true" if v else "false") if isinstance(v, bool) else str(v)
+            for v in astuple(self)
         )
 
     def json_line(self) -> str:
-        return json.dumps(
-            {
-                "a1": self.a1,
-                "a2": self.a2,
-                "n1": self.n1,
-                "n2": self.n2,
-                "n3": self.n3,
-                "formula_section44": self.formula_section44,
-                "formula_lemma410": self.formula_lemma410,
-                "formula_guarded": self.formula_guarded,
-                "tuples_canonical": self.tuples_canonical,
-                "peterson": self.peterson,
-                "quotient": self.quotient,
-                "agree_guarded_peterson": self.agree_guarded_peterson,
-            },
-            sort_keys=False,
-        )
+        return json.dumps(asdict(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ComparisonRow))
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -138,6 +103,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_height_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"height cap must be >= 1, got {cap}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rootmult",
@@ -158,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(v.value for v in Variant),
         default=Variant.GUARDED.value,
     )
-    mult.add_argument("--height-cap", type=int, default=DEFAULT_HEIGHT_CAP)
+    mult.add_argument("--height-cap", type=_parse_height_cap, default=DEFAULT_HEIGHT_CAP)
 
     rewrite = sub.add_parser("rewrite", help="rewrite a bracket expression")
     rewrite.add_argument("expression")
@@ -175,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("--format", choices=("csv", "json"), default="csv")
     compare.add_argument("--out", default=None, metavar="PATH")
-    compare.add_argument("--height-cap", type=int, default=DEFAULT_HEIGHT_CAP)
-    compare.add_argument("--workers", type=int, default=4)
+    compare.add_argument("--height-cap", type=_parse_height_cap, default=DEFAULT_HEIGHT_CAP)
 
     witt = sub.add_parser("witt", help="free Lie algebra dimension of a multidegree")
     witt.add_argument("--weight", type=_parse_weight, required=True, metavar="n1,...,nr")
@@ -191,6 +165,8 @@ def _cmd_mult(args: argparse.Namespace, out: IO[str]) -> int:
         weight = WeightVector.of(args.weight)
         if len(weight) != 3:
             raise ValueError(f"expected a rank-3 weight, got {weight.coeffs}")
+        if weight.height < 1:
+            raise ValueError("weight must have height >= 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -223,7 +199,8 @@ def _cmd_mult(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_rewrite(args: argparse.Namespace, out: IO[str]) -> int:
     try:
         expr = parse_bracket(args.expression)
-    except ParseError as exc:
+        weight_of(expr, 3)  # generator indices must name e1, e2 or e3
+    except ValueError as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     combo = to_standard_form(expr)
@@ -269,18 +246,9 @@ def _compare_row(
     guarded = formulas[Variant.GUARDED]
     agree: bool | str = guarded == mult if isinstance(guarded, int) else "n/a"
     return ComparisonRow(
-        a1=a1,
-        a2=a2,
-        n1=n1,
-        n2=n2,
-        n3=n3,
-        formula_section44=formulas[Variant.SECTION44],
-        formula_lemma410=formulas[Variant.LEMMA410],
-        formula_guarded=formulas[Variant.GUARDED],
-        tuples_canonical=canonical,
-        peterson=mult,
-        quotient=quotient,
-        agree_guarded_peterson=agree,
+        a1, a2, n1, n2, n3,
+        formulas[Variant.SECTION44], formulas[Variant.LEMMA410], guarded,
+        canonical, mult, quotient, agree,
     )
 
 
@@ -290,26 +258,17 @@ def compare_rows(
     lo: int,
     hi: int,
     height_cap: int = DEFAULT_HEIGHT_CAP,
-    workers: int = 4,
-) -> Iterable[ComparisonRow]:
+) -> Iterator[ComparisonRow]:
     """Rows in grid order (n1, n2, n3 lexicographic over [lo..hi]^3).
 
-    The recurrence table and quotient engine are shared; both are
-    internally locked, and memoized values do not depend on evaluation
-    order, so the output is deterministic regardless of scheduling.
+    The zero weight is omitted: it is not a weight of anything.
     """
     algebra = rank3_chain(a1, a2)
     table = MultiplicityTable(algebra)
     engine = SerreQuotient(algebra, height_cap=height_cap)
-    grid = [
-        (n1, n2, n3)
-        for n1 in range(lo, hi + 1)
-        for n2 in range(lo, hi + 1)
-        for n3 in range(lo, hi + 1)
-        if n1 + n2 + n3 >= 1  # the zero weight is not a weight of anything
-    ]
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        yield from pool.map(lambda w: _compare_row(a1, a2, w, table, engine), grid)
+    for weight in itertools.product(range(lo, hi + 1), repeat=3):
+        if any(weight):
+            yield _compare_row(a1, a2, weight, table, engine)
 
 
 def _cmd_compare(args: argparse.Namespace, out: IO[str]) -> int:
@@ -327,14 +286,16 @@ def _cmd_compare(args: argparse.Namespace, out: IO[str]) -> int:
         )
     lo, hi = args.range
 
-    sink = open(args.out, "w", encoding="utf-8") if args.out else out
+    try:
+        sink = open(args.out, "w", encoding="utf-8") if args.out else out
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.format == "csv":
             print(CSV_HEADER, file=sink)
         try:
-            for row in compare_rows(
-                a1, a2, lo, hi, height_cap=args.height_cap, workers=args.workers
-            ):
+            for row in compare_rows(a1, a2, lo, hi, height_cap=args.height_cap):
                 print(row.csv_line() if args.format == "csv" else row.json_line(), file=sink)
         except (OracleScaleError, RecurrenceError, OracleDisagreement) as exc:
             # leave a partial report with an explicit truncation marker

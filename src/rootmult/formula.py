@@ -178,9 +178,3 @@ def closed_form_dim(p: FormulaParams, variant: Variant | str = Variant.GUARDED) 
         branch=branch,
         dim=dim,
     )
-
-
-def hyperbolic_dim(n: tuple[int, int, int]) -> DimBreakdown:
-    """Specialization to the hyperbolic chain (a1, a2) = (1, 2), guarded variant."""
-    n1, n2, n3 = n
-    return closed_form_dim(FormulaParams(1, 2, n1, n2, n3), Variant.GUARDED)

@@ -36,13 +36,6 @@ class RecurrenceError(RuntimeError):
     """Recurrence produced an inconsistent or non-integral value: a bug, not data."""
 
 
-def rho_pairing(A: GeneralizedCartanMatrix, lam: WeightVector | Sequence[int]) -> int:
-    """(rho, lam) under the normalization (rho, alpha_i) = 1: the height of lam."""
-    if not A.is_symmetric:
-        raise ValueError("rho pairing requires a symmetric Cartan matrix")
-    return WeightVector.of(lam).height
-
-
 class MultiplicityTable:
     """Memoized multiplicities and c-values for one algebra.
 
@@ -187,8 +180,3 @@ class MultiplicityTable:
         """Snapshot of every memoized multiplicity."""
         with self._lock:
             return {WeightVector(w): m for w, m in self._mult.items()}
-
-
-def peterson_mult(table: MultiplicityTable, lam: WeightVector | Sequence[int]) -> int:
-    """Multiplicity of ``lam`` from the table, memoizing all subweights."""
-    return table.multiplicity(lam)

@@ -188,31 +188,3 @@ class SerreQuotient:
             return True
         with self._lock:
             return self._basis(lam.coeffs).contains(poly.coeffs)
-
-
-def ideal_component_dim(
-    A: GeneralizedCartanMatrix, lam: WeightVector | Sequence[int]
-) -> int:
-    """One-shot ideal slice dimension; see :class:`SerreQuotient` for reuse."""
-    lam = WeightVector.of(lam)
-    return SerreQuotient(A, height_cap=max(DEFAULT_HEIGHT_CAP, lam.height)).ideal_dim(lam)
-
-
-def root_multiplicity_quotient(
-    A: GeneralizedCartanMatrix,
-    lam: WeightVector | Sequence[int],
-    height_cap: int = DEFAULT_HEIGHT_CAP,
-) -> int:
-    """One-shot multiplicity dim g_lam through the quotient construction."""
-    return SerreQuotient(A, height_cap=height_cap).multiplicity(lam)
-
-
-def standard_form_rank(
-    A: GeneralizedCartanMatrix,
-    lam: WeightVector | Sequence[int],
-    family: Sequence[StandardTuple],
-) -> int:
-    """One-shot rank of a standard-tuple family inside g_lam."""
-    lam = WeightVector.of(lam)
-    engine = SerreQuotient(A, height_cap=max(DEFAULT_HEIGHT_CAP, lam.height))
-    return engine.standard_form_rank(lam, family)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +58,31 @@ def test_mult_bad_gcm(capsys):
     assert code == cli.EXIT_USAGE
 
 
+def error_lines(capsys) -> list[str]:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+def test_mult_zero_weight(capsys):
+    for method in ("peterson", "quotient"):
+        code, out = run("mult", "--gcm", "1,2", "--weight", "0,0,0", "--method", method)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert error_lines(capsys) == ["error: weight must have height >= 1"]
+
+
+def test_height_cap_below_one_exits_2(capsys):
+    for argv in (
+        ("mult", "--gcm", "1,2", "--weight", "1,1,1", "--method", "quotient"),
+        ("compare", "--gcm", "1,2", "--range", "1..2"),
+    ):
+        for cap in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                run(*argv, "--height-cap", cap)
+            assert exc.value.code == 2
+            assert len(error_lines(capsys)) == 1
+
+
 def test_flag_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run("mult", "--gcm", "1;2", "--weight", "1,1,1", "--method", "peterson")
@@ -72,6 +98,13 @@ def test_rewrite():
     code, out = run("rewrite", "[[e1,e2],[e3,e2]]", "--verify")
     assert code == 0
     assert out == "+1*[1,2,3,2]\n-1*[2,1,3,2]\nVERIFIED\n"
+
+
+def test_rewrite_rejects_generator_out_of_range(capsys):
+    for argv, index in ((("e300",), 300), (("e0", "--verify"), 0), (("[e1,e4]", "--verify"), 4)):
+        code, out = run("rewrite", *argv)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert error_lines(capsys) == [f"error: generator index {index} out of range 1..3"]
 
 
 def test_rewrite_parse_error(capsys):
@@ -130,6 +163,29 @@ def test_compare_csv_and_json_agree(tmp_path):
                 assert cell == ("true" if value else "false")
             else:
                 assert cell == str(value)
+
+
+def test_compare_unwritable_out_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    code, out = run("compare", "--gcm", "1,2", "--range", "1..1", "--out", str(missing))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert len(error_lines(capsys)) == 1
+    assert not missing.exists()
+
+
+def test_compare_report_matches_stored_bytes():
+    reference = Path(__file__).resolve().parent.parent / "bench" / "reference"
+    stored = reference / "compare-grid-tiny.csv"
+    code, out = run("compare", "--gcm", "1,2", "--range", "1..3", "--height-cap", "6")
+    assert code == 0
+    assert out == stored.read_text(encoding="utf-8")
+    code, out = run(
+        "compare", "--gcm", "1,2", "--range", "1..3", "--height-cap", "6", "--format", "json",
+    )
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 3**3
+    assert all(list(row) == cli.CSV_HEADER.split(",") for row in rows)
 
 
 def test_compare_marks_small_coefficients_na():

@@ -12,7 +12,6 @@ from rootmult import (
     closed_form_dim,
     count_dependent,
     count_vanishing,
-    hyperbolic_dim,
     stars_and_bars,
     total_configs,
 )
@@ -126,9 +125,10 @@ def test_middle_branch_subtracts_the_smaller_label_count():
 
 
 def test_hyperbolic_specialization():
-    assert hyperbolic_dim((2, 2, 2)).dim == 3
+    # (a1, a2) = (1, 2) is the hyperbolic chain; GUARDED is the default variant
+    assert closed_form_dim(FormulaParams(1, 2, 2, 2, 2)).dim == 3
     for n in itertools.product((2, 3, 4), repeat=3):
-        assert hyperbolic_dim(n) == closed_form_dim(
+        assert closed_form_dim(FormulaParams(1, 2, *n)) == closed_form_dim(
             FormulaParams(1, 2, *n), Variant.GUARDED
         )
 

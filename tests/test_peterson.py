@@ -9,8 +9,6 @@ from rootmult import (
     GeneralizedCartanMatrix,
     MultiplicityTable,
     SerreQuotient,
-    peterson_mult,
-    rho_pairing,
 )
 
 A3_POSITIVE_ROOTS = {
@@ -31,27 +29,18 @@ def weights_of_height(limit: int):
                     yield (n1, n2, n3)
 
 
-def test_rho_pairing(chain12):
-    assert rho_pairing(chain12, (1, 0, 0)) == 1
-    assert rho_pairing(chain12, (2, 2, 2)) == 6
-    assert rho_pairing(chain12, (0, 0, 0)) == 0
-    asym = GeneralizedCartanMatrix(((2, -1), (-2, 2)))
-    with pytest.raises(ValueError):
-        rho_pairing(asym, (1, 0))
-
-
 def test_base_cases(chain11, chain12, chain22):
     for A in (chain11, chain12, chain22):
         table = MultiplicityTable(A)
         for simple in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            assert peterson_mult(table, simple) == 1
+            assert table.multiplicity(simple) == 1
 
 
 def test_example_values(chain11, chain12):
-    assert peterson_mult(MultiplicityTable(chain11), (1, 1, 0)) == 1
+    assert MultiplicityTable(chain11).multiplicity((1, 1, 0)) == 1
     table = MultiplicityTable(chain12)
-    assert peterson_mult(table, (2, 1, 0)) == 0
-    assert peterson_mult(table, (1, 1, 1)) == 1
+    assert table.multiplicity((2, 1, 0)) == 0
+    assert table.multiplicity((1, 1, 1)) == 1
 
 
 def test_zero_left_factor_weights_are_not_roots(chain12):

@@ -11,10 +11,7 @@ from rootmult import (
     OracleScaleError,
     SerreQuotient,
     expand_standard_tuple,
-    ideal_component_dim,
-    root_multiplicity_quotient,
     serre_elements,
-    standard_form_rank,
     standard_tuples_of_weight,
 )
 
@@ -99,16 +96,17 @@ def test_ideal_dim_examples(chain12, engine12):
     assert engine12.ideal_dim((2, 1, 0)) == 1
     # no relation fits under a simple root
     assert engine12.ideal_dim((1, 0, 0)) == 0
-    assert ideal_component_dim(chain12, (1, 1, 1)) == 1
+    assert SerreQuotient(chain12).ideal_dim((1, 1, 1)) == 1
 
 
 def test_quotient_multiplicity_examples(chain12, chain11, engine12):
     assert engine12.multiplicity((1, 1, 1)) == 1
     assert engine12.multiplicity((2, 1, 0)) == 0
-    assert root_multiplicity_quotient(chain11, (1, 1, 1)) == 1
+    assert SerreQuotient(chain11).multiplicity((1, 1, 1)) == 1
     for A in (chain11, chain12):
+        engine = SerreQuotient(A)
         for simple in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            assert root_multiplicity_quotient(A, simple) == 1
+            assert engine.multiplicity(simple) == 1
 
 
 def test_cap_is_loud(chain12):
@@ -124,7 +122,7 @@ def test_standard_form_rank_examples(chain12, engine12):
     family = list(standard_tuples_of_weight(lam))
     assert engine12.standard_form_rank(lam, family) == engine12.multiplicity(lam)
     assert engine12.standard_form_rank(lam, []) == 0
-    assert standard_form_rank(chain12, (2, 1, 0), [(1, 1, 2)]) == 0
+    assert SerreQuotient(chain12).standard_form_rank((2, 1, 0), [(1, 1, 2)]) == 0
     with pytest.raises(ValueError):
         engine12.standard_form_rank((1, 1, 1), [(1, 2)])
 
