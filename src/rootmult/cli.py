@@ -27,7 +27,7 @@ from .freelie import (
     to_standard_form,
     weight_of,
 )
-from .gcm import WeightVector, rank3_chain
+from .gcm import WeightVector, query_weight, rank3_chain
 from .peterson import MultiplicityTable, RecurrenceError
 from .serre import DEFAULT_HEIGHT_CAP, OracleScaleError, SerreQuotient
 from .tuples import count_canonical
@@ -38,6 +38,11 @@ EXIT_COMPUTE = 3
 
 class OracleDisagreement(RuntimeError):
     """The two independent oracles returned different values: a hard failure."""
+
+
+# a failed computation exits 3; a ValueError (ParseError included) or an
+# OSError is a usage error and exits 2
+COMPUTE_ERRORS = (OracleScaleError, RecurrenceError, OracleDisagreement, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -159,50 +164,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mult(args: argparse.Namespace, out: IO[str]) -> int:
-    a1, a2 = args.gcm
-    try:
-        algebra = rank3_chain(a1, a2)
-        weight = WeightVector.of(args.weight)
-        if len(weight) != 3:
-            raise ValueError(f"expected a rank-3 weight, got {weight.coeffs}")
-        if weight.height < 1:
-            raise ValueError("weight must have height >= 1")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.method in ("formula", "tuples"):
-        try:
-            params = FormulaParams(a1, a2, *weight.coeffs)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    algebra = rank3_chain(*args.gcm)
+    weight = query_weight(algebra, args.weight)
+    if args.method == "peterson":
+        value = MultiplicityTable(algebra).multiplicity(weight)
+    elif args.method == "quotient":
+        value = SerreQuotient(algebra, height_cap=args.height_cap).multiplicity(weight)
+    else:
+        params = FormulaParams(*args.gcm, *weight.coeffs)
         if args.method == "formula":
             value = closed_form_dim(params, args.variant).dim
         else:
             value = count_canonical(params).canonical
-        print(value, file=out)
-        return EXIT_OK
-
-    try:
-        if args.method == "peterson":
-            value = MultiplicityTable(algebra).multiplicity(weight)
-        else:
-            value = SerreQuotient(algebra, height_cap=args.height_cap).multiplicity(weight)
-    except (OracleScaleError, RecurrenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
     print(value, file=out)
     return EXIT_OK
 
 
 def _cmd_rewrite(args: argparse.Namespace, out: IO[str]) -> int:
-    try:
-        expr = parse_bracket(args.expression)
-        weight_of(expr, 3)  # generator indices must name e1, e2 or e3
-    except ValueError as exc:  # ParseError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    expr = parse_bracket(args.expression)
+    weight_of(expr, 3)  # generator indices must name e1, e2 or e3
     combo = to_standard_form(expr)
     for t, c in combo.terms():
         print(f"{'+' if c > 0 else '-'}{abs(c)}*[{','.join(map(str, t))}]", file=out)
@@ -273,12 +253,7 @@ def compare_rows(
 
 def _cmd_compare(args: argparse.Namespace, out: IO[str]) -> int:
     a1, a2 = args.gcm
-    try:
-        algebra = rank3_chain(a1, a2)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if algebra.finite_type:
+    if rank3_chain(a1, a2).finite_type:
         print(
             "note: (a1, a2) = (1, 1) is finite type; the closed-form counts "
             "assume max(a1, a2) >= 2",
@@ -286,25 +261,20 @@ def _cmd_compare(args: argparse.Namespace, out: IO[str]) -> int:
         )
     lo, hi = args.range
 
-    try:
-        sink = open(args.out, "w", encoding="utf-8") if args.out else out
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    sink = open(args.out, "w", encoding="utf-8") if args.out else out
     try:
         if args.format == "csv":
             print(CSV_HEADER, file=sink)
         try:
             for row in compare_rows(a1, a2, lo, hi, height_cap=args.height_cap):
                 print(row.csv_line() if args.format == "csv" else row.json_line(), file=sink)
-        except (OracleScaleError, RecurrenceError, OracleDisagreement) as exc:
+        except COMPUTE_ERRORS as exc:
             # leave a partial report with an explicit truncation marker
             if args.format == "csv":
                 print(f"# truncated: {exc}", file=sink)
             else:
                 print(json.dumps({"truncated": str(exc)}), file=sink)
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_COMPUTE
+            raise
     finally:
         if args.out:
             sink.close()
@@ -312,29 +282,28 @@ def _cmd_compare(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_witt(args: argparse.Namespace, out: IO[str]) -> int:
-    try:
-        value = free_lie_dim(args.weight)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(value, file=out)
+    print(free_lie_dim(args.weight), file=out)
     return EXIT_OK
 
 
+COMMANDS = {"mult": _cmd_mult, "rewrite": _cmd_rewrite, "compare": _cmd_compare, "witt": _cmd_witt}
+
+
 def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = out or sys.stdout
-    if args.command == "mult":
-        return _cmd_mult(args, out)
-    if args.command == "rewrite":
-        return _cmd_rewrite(args, out)
-    if args.command == "compare":
-        return _cmd_compare(args, out)
-    if args.command == "witt":
-        return _cmd_witt(args, out)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    """Run one command and return its exit code.
+
+    A handler raises on failure; the exception's class picks the exit code
+    and its message becomes the one line written to stderr.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return COMMANDS[args.command](args, out or sys.stdout)
+    except COMPUTE_ERRORS as exc:
+        code, error = EXIT_COMPUTE, exc
+    except (ValueError, OSError) as exc:
+        code, error = EXIT_USAGE, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

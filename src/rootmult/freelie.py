@@ -17,6 +17,10 @@ from .gcm import WeightVector
 # is encoded as the tuple t of its generator indices, outermost first.
 StandardTuple = tuple[int, ...]
 
+# deepest bracket nesting parse_bracket accepts; the parser, the rewriter and
+# the tensor expansion all recurse once per level
+MAX_BRACKET_DEPTH = 256
+
 
 # ---------------------------------------------------------------------------
 # bracket expressions
@@ -56,7 +60,8 @@ def parse_bracket(text: str) -> BracketExpr:
     """Parse ``expr := atom | '[' expr ',' expr ']'`` with ``atom := 'e' digits``.
 
     Whitespace is insignificant.  Generator indices are stored verbatim;
-    range checking happens at evaluation time.
+    range checking happens at evaluation time.  Nesting deeper than
+    :data:`MAX_BRACKET_DEPTH` is a :class:`ParseError`.
     """
     pos = 0
 
@@ -72,16 +77,18 @@ def parse_bracket(text: str) -> BracketExpr:
             raise ParseError(f"expected '{ch}'", pos)
         pos += 1
 
-    def expr() -> BracketExpr:
+    def expr(depth: int) -> BracketExpr:
         nonlocal pos
         skip_ws()
         if pos >= len(text):
             raise ParseError("unexpected end of input", pos)
         if text[pos] == "[":
+            if depth == MAX_BRACKET_DEPTH:
+                raise ParseError(f"brackets nested deeper than {MAX_BRACKET_DEPTH}", pos)
             pos += 1
-            left = expr()
+            left = expr(depth + 1)
             expect(",")
-            right = expr()
+            right = expr(depth + 1)
             expect("]")
             return Node(left, right)
         if text[pos] == "e":
@@ -94,7 +101,7 @@ def parse_bracket(text: str) -> BracketExpr:
             return Leaf(int(text[start:pos]))
         raise ParseError("expected '[' or 'e'", pos)
 
-    result = expr()
+    result = expr(0)
     skip_ws()
     if pos != len(text):
         raise ParseError("trailing input", pos)

@@ -54,6 +54,17 @@ class GeneralizedCartanMatrix:
         i, j = ij
         return self.entries[i][j]
 
+    def form(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """x^T A y on plain coefficient tuples, without argument checks.
+
+        For a symmetric matrix this is the invariant form (alpha_i, alpha_j) = A_ij.
+        """
+        return sum(
+            xi * sum(aij * yj for aij, yj in zip(row, y))
+            for xi, row in zip(x, self.entries)
+            if xi
+        )
+
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -101,6 +112,19 @@ def rank3_chain(a1: int, a2: int) -> GeneralizedCartanMatrix:
     return GeneralizedCartanMatrix(entries, chain=(a1, a2))
 
 
+def query_weight(A: GeneralizedCartanMatrix, lam: WeightVector | Sequence[int]) -> WeightVector:
+    """``lam`` as a weight of A that an engine can be asked about.
+
+    Its length must equal the rank of A and its height must be at least 1.
+    """
+    lam = WeightVector.of(lam)
+    if lam.rank != A.rank:
+        raise ValueError(f"weight length {lam.rank} does not match rank {A.rank}")
+    if lam.height < 1:
+        raise ValueError("weight must have height >= 1")
+    return lam
+
+
 def symmetric_form(
     A: GeneralizedCartanMatrix,
     lam: WeightVector | Sequence[int],
@@ -118,11 +142,4 @@ def symmetric_form(
     n = A.rank
     if len(lam) != n or len(mu) != n:
         raise ValueError(f"weight length mismatch: rank {n}, got {len(lam)} and {len(mu)}")
-    total = 0
-    for i in range(n):
-        li = lam[i]
-        if li == 0:
-            continue
-        row = A.entries[i]
-        total += li * sum(row[j] * mu[j] for j in range(n))
-    return total
+    return A.form(lam.coeffs, mu.coeffs)

@@ -1,7 +1,7 @@
 """Root multiplicities by the Peterson recurrence, in exact arithmetic.
 
 For a symmetric generalized Cartan matrix with diagonal 2, the form
-(.,.) of :func:`rootmult.gcm.symmetric_form` and the normalization
+(.,.) of :meth:`rootmult.gcm.GeneralizedCartanMatrix.form` and the normalization
 (rho, alpha_i) = 1 give, for every weight lam of height >= 2,
 
     ((lam, lam) - 2 (rho, lam)) * c_lam
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
-from .gcm import GeneralizedCartanMatrix, WeightVector
+from .gcm import GeneralizedCartanMatrix, WeightVector, query_weight
 
 
 class RecurrenceError(RuntimeError):
@@ -54,16 +54,7 @@ class MultiplicityTable:
         self._cnum: dict[tuple[int, ...], int] = {}
         self._denom = 1
         self._lock = threading.RLock()
-        r = A.rank
-        self._gram = tuple(tuple(A[i, j] for j in range(r)) for i in range(r))
-
-    def _form(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
-        g = self._gram
-        return sum(
-            xi * sum(gij * yj for gij, yj in zip(gi, y))
-            for xi, gi in zip(x, g)
-            if xi
-        )
+        self._pairing = A.form
 
     def _grow_denominator(self, height: int) -> None:
         # never shrink: queries can arrive in any height order
@@ -102,7 +93,7 @@ class MultiplicityTable:
             b = cnum.get(nu)
             if not b:
                 continue
-            term = self._form(mu, nu) * a * b
+            term = self._pairing(mu, nu) * a * b
             total += term if mu == nu else 2 * term
         return total
 
@@ -121,7 +112,7 @@ class MultiplicityTable:
             if g % k:
                 continue
             divisor_part += self._mult[tuple(c // k for c in lam)] * (denom // k)
-        lead = self._form(lam, lam) - 2 * height
+        lead = self._pairing(lam, lam) - 2 * height
         rhs = self._convolution(lam)
         if lead == 0:
             if rhs != 0:
@@ -156,22 +147,14 @@ class MultiplicityTable:
 
     def multiplicity(self, lam: WeightVector | Sequence[int]) -> int:
         """mult(lam); 0 for weights that are not roots."""
-        lam = WeightVector.of(lam)
-        if lam.rank != self.algebra.rank:
-            raise ValueError(f"weight length {lam.rank} does not match rank {self.algebra.rank}")
-        if lam.height < 1:
-            raise ValueError("weight must have height >= 1")
+        lam = query_weight(self.algebra, lam)
         with self._lock:
             self._ensure(lam.coeffs)
             return self._mult[lam.coeffs]
 
     def c_value(self, lam: WeightVector | Sequence[int]) -> Fraction:
         """The auxiliary c_lam = sum over k dividing lam of mult(lam/k)/k."""
-        lam = WeightVector.of(lam)
-        if lam.rank != self.algebra.rank:
-            raise ValueError(f"weight length {lam.rank} does not match rank {self.algebra.rank}")
-        if lam.height < 1:
-            raise ValueError("weight must have height >= 1")
+        lam = query_weight(self.algebra, lam)
         with self._lock:
             self._ensure(lam.coeffs)
             return Fraction(self._cnum[lam.coeffs], self._denom)

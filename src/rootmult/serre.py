@@ -13,6 +13,7 @@ slice of that span is computed here by exact integer linear algebra, so
 """
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +27,7 @@ from .freelie import (
     free_lie_dim,
     tuple_to_expr,
 )
-from .gcm import GeneralizedCartanMatrix, WeightVector
+from .gcm import GeneralizedCartanMatrix, WeightVector, query_weight
 from .linalg import EchelonBasis
 
 DEFAULT_HEIGHT_CAP = 10
@@ -81,12 +82,13 @@ def serre_elements(A: GeneralizedCartanMatrix) -> list[SerreElement]:
 class SerreQuotient:
     """Graded quotient engine for one algebra, memoizing ideal bases by weight.
 
-    The ideal slice at a weight lam is built bottom-up: its spanning rows
-    are the relations of weight lam plus [e_i, b] for every basis row b of
-    the slice at lam - alpha_i.  Bracketing by a generator is linear, so
-    propagating a basis (rather than every bracket chain) spans the same
-    space while keeping the matrices small.  All elimination is
-    fraction-free integer arithmetic; results are exact.
+    The ideal slice at a weight lam is built bottom-up, filling the box
+    below lam in lexicographic order: its spanning rows are the relations
+    of weight lam plus [e_i, b] for every basis row b of the slice at
+    lam - alpha_i.  Bracketing by a generator is linear, so propagating a
+    basis (rather than every bracket chain) spans the same space while
+    keeping the matrices small.  All elimination is fraction-free integer
+    arithmetic; results are exact.
 
     Instances are safe to share across threads: a lock serializes basis
     construction, and cached values are immutable afterwards.
@@ -118,39 +120,41 @@ class SerreQuotient:
             all(ws <= c for ws, c in zip(w, coeffs)) for w in self._rows_by_weight
         )
 
-    def _basis(self, coeffs: tuple[int, ...]) -> EchelonBasis:
-        cached = self._bases.get(coeffs)
-        if cached is not None:
-            return cached
+    def _slice(self, coeffs: tuple[int, ...]) -> EchelonBasis:
+        """Ideal slice at ``coeffs``; every slice below it must already be built."""
         basis = EchelonBasis()
-        if sum(coeffs) > 0 and self._feasible(coeffs):
+        if self._feasible(coeffs):
             for poly in self._rows_by_weight.get(coeffs, ()):
                 basis.insert(poly.coeffs)
-            for i in range(1, self.algebra.rank + 1):
-                below = list(coeffs)
-                below[i - 1] -= 1
-                if below[i - 1] < 0:
+            for i, c in enumerate(coeffs):
+                if c == 0:
                     continue
-                for row in self._basis(tuple(below)).pivots.values():
+                below = coeffs[:i] + (c - 1,) + coeffs[i + 1 :]
+                for row in self._bases[below].pivots.values():
                     wrapped = NcPolynomial()
                     wrapped.coeffs = row
-                    basis.insert(ad_generator(i, wrapped).coeffs)
-        self._bases[coeffs] = basis
+                    basis.insert(ad_generator(i + 1, wrapped).coeffs)
         return basis
+
+    def _basis(self, coeffs: tuple[int, ...]) -> EchelonBasis:
+        bases = self._bases
+        if coeffs not in bases:
+            # lexicographic fill of the box visits every componentwise-smaller
+            # weight first, which is all a slice depends on
+            for mu in itertools.product(*(range(c + 1) for c in coeffs)):
+                if mu not in bases:
+                    bases[mu] = self._slice(mu)
+        return bases[coeffs]
 
     def ideal_dim(self, lam: WeightVector | Sequence[int]) -> int:
         """Dimension of the graded slice of the relation ideal at ``lam``."""
-        lam = WeightVector.of(lam)
-        if lam.height < 1:
-            raise ValueError("weight must have height >= 1")
+        lam = query_weight(self.algebra, lam)
         with self._lock:
             return self._basis(lam.coeffs).rank
 
     def multiplicity(self, lam: WeightVector | Sequence[int]) -> int:
         """dim g_lam = free dimension minus ideal slice dimension."""
-        lam = WeightVector.of(lam)
-        if lam.height < 1:
-            raise ValueError("weight must have height >= 1")
+        lam = query_weight(self.algebra, lam)
         if lam.height > self.height_cap:
             raise self.scale_error(lam)
         with self._lock:
@@ -169,7 +173,7 @@ class SerreQuotient:
         Computed as rank(family rows + ideal basis) minus the ideal rank,
         by inserting the family into a copy of the ideal basis.
         """
-        lam = WeightVector.of(lam)
+        lam = query_weight(self.algebra, lam)
         rank = self.algebra.rank
         for t in family:
             degree = tuple(t.count(i + 1) for i in range(rank))
@@ -182,9 +186,15 @@ class SerreQuotient:
         return scratch.insert_all(expand_standard_tuple(t).coeffs for t in family)
 
     def in_ideal(self, lam: WeightVector | Sequence[int], poly: NcPolynomial) -> bool:
-        """Exact membership of a tensor polynomial in the ideal slice at ``lam``."""
-        lam = WeightVector.of(lam)
+        """Exact membership of a tensor polynomial in the ideal slice at ``lam``.
+
+        A nonzero ``poly`` must have multidegree ``lam``.
+        """
+        lam = query_weight(self.algebra, lam)
         if not poly:
             return True
+        degree = poly.multidegree(self.algebra.rank)
+        if degree != lam:
+            raise ValueError(f"polynomial has multidegree {degree.coeffs}, expected {lam.coeffs}")
         with self._lock:
             return self._basis(lam.coeffs).contains(poly.coeffs)

@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from rootmult import Leaf, Node, SerreQuotient, rank3_chain
+from rootmult import SerreQuotient, rank3_chain
+from rootmult.freelie import Leaf, Node
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +35,15 @@ def random_expr(rng: random.Random, length: int, rank: int = 3):
         return Leaf(rng.randint(1, rank))
     split = rng.randint(1, length - 1)
     return Node(random_expr(rng, split, rank), random_expr(rng, length - split, rank))
+
+
+# chains whose reversal (a2, a1) is a different algebra
+REVERSIBLE_CHAINS = ((1, 2), (1, 3), (2, 3))
+
+
+def weights_up_to(height: int):
+    """Rank-3 weights of height 1..``height``, as a hypothesis strategy."""
+    coefficient = st.integers(0, height)
+    return st.tuples(coefficient, coefficient, coefficient).filter(
+        lambda w: 1 <= sum(w) <= height
+    )

@@ -19,27 +19,28 @@ from rootmult import (
     SerreQuotient,
     Variant,
     closed_form_dim,
-    count_dependent,
-    count_vanishing,
-    enumerate_configs,
+    free_lie_dim,
+    parse_bracket,
+    rank3_chain,
+    to_standard_form,
+)
+from rootmult.cli import CSV_HEADER, main as cli_main
+from rootmult.formula import count_dependent, count_vanishing, stars_and_bars, total_configs
+from rootmult.freelie import (
     expand_combination,
     expand_standard_tuple,
     expand_tensor,
-    free_lie_dim,
+    standard_tuples_of_weight,
+    weight_of,
+)
+from rootmult.linalg import matrix_rank
+from rootmult.tuples import (
+    compositions,
+    enumerate_configs,
     independent_rank_check,
     is_dependent_pattern,
     is_trivial_pattern,
-    parse_bracket,
-    rank3_chain,
-    standard_tuples_of_weight,
-    stars_and_bars,
-    to_standard_form,
-    total_configs,
-    weight_of,
 )
-from rootmult.cli import CSV_HEADER, main as cli_main
-from rootmult.linalg import matrix_rank
-from rootmult.tuples import compositions
 
 from conftest import random_expr
 

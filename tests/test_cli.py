@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import rootmult.cli as cli
+from rootmult import OracleScaleError, RecurrenceError
+from rootmult.freelie import MAX_BRACKET_DEPTH
 
 
 def run(*argv: str) -> tuple[int, str]:
@@ -248,3 +250,46 @@ def test_compare_json_truncation_marker(monkeypatch):
     )
     assert code == cli.EXIT_COMPUTE
     assert json.loads(out.splitlines()[-1])["truncated"].startswith("oracle disagreement")
+
+
+def test_mult_closed_form_methods_check_the_weight(capsys):
+    for method in ("formula", "tuples"):
+        for weight, message in (
+            ("0,0,0", "weight must have height >= 1"),
+            ("2,2,2,2", "weight length 4 does not match rank 3"),
+        ):
+            code, out = run("mult", "--gcm", "1,2", "--weight", weight, "--method", method)
+            assert (code, out) == (cli.EXIT_USAGE, "")
+            assert error_lines(capsys) == [f"error: {message}"]
+
+
+def test_mult_quotient_tall_thin_weight():
+    # the ideal slices below a weight are built without recursion
+    argv = ("--weight", "1100,1,0", "--method", "quotient", "--height-cap", "2000")
+    assert run("mult", "--gcm", "1,2", *argv) == (0, "0\n")
+
+
+def test_rewrite_deep_nesting_exits_2(capsys):
+    depth = 1200
+    code, out = run("rewrite", "[e1," * depth + "e2" + "]" * depth)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    (line,) = error_lines(capsys)
+    assert f"nested deeper than {MAX_BRACKET_DEPTH}" in line
+
+
+@pytest.mark.parametrize(
+    "error", [OracleScaleError, RecurrenceError, cli.OracleDisagreement, ArithmeticError]
+)
+def test_compare_truncates_on_every_computation_error(monkeypatch, capsys, error):
+    class FailingTable:
+        def __init__(self, algebra):
+            self.algebra = algebra
+
+        def multiplicity(self, lam):
+            raise error("failed on purpose")
+
+    monkeypatch.setattr(cli, "MultiplicityTable", FailingTable)
+    code, out = run("compare", "--gcm", "1,2", "--range", "2..2", "--height-cap", "6")
+    assert code == cli.EXIT_COMPUTE
+    assert out.splitlines() == [cli.CSV_HEADER, "# truncated: failed on purpose"]
+    assert error_lines(capsys) == ["error: failed on purpose"]

@@ -4,12 +4,10 @@ import itertools
 
 import pytest
 
-from rootmult import (
+from rootmult import FormulaParams, Variant, closed_form_dim
+from rootmult.formula import (
     Branch,
-    FormulaParams,
-    Variant,
     binomial,
-    closed_form_dim,
     count_dependent,
     count_vanishing,
     stars_and_bars,

@@ -5,20 +5,17 @@ from math import comb
 
 import pytest
 
-from rootmult import (
+from rootmult import ParseError, free_lie_dim, parse_bracket, to_standard_form
+from rootmult.freelie import (
     Leaf,
     LieCombination,
     NcPolynomial,
     Node,
-    ParseError,
     expand_combination,
     expand_standard_tuple,
     expand_tensor,
     format_bracket,
-    free_lie_dim,
-    parse_bracket,
     standard_tuples_of_weight,
-    to_standard_form,
     tuple_to_expr,
     weight_of,
 )

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from rootmult import GeneralizedCartanMatrix, WeightVector, rank3_chain, symmetric_form
+from rootmult import rank3_chain
+from rootmult.gcm import GeneralizedCartanMatrix, WeightVector, symmetric_form
 
 
 def test_chain_entries():

@@ -1,0 +1,47 @@
+from __future__ import annotations
+
+from pathlib import Path
+
+import rootmult
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC = {
+    "rank3_chain",
+    "MultiplicityTable",
+    "SerreQuotient",
+    "FormulaParams",
+    "closed_form_dim",
+    "count_canonical",
+    "parse_bracket",
+    "to_standard_form",
+    "free_lie_dim",
+    "Variant",
+    "OracleScaleError",
+    "RecurrenceError",
+    "ParseError",
+}
+
+
+def library_sketch() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library sketch", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_sketch_runs_and_shows_true_values():
+    sketch = library_sketch()
+    namespace: dict = {}
+    exec(sketch, namespace)
+    checked = 0
+    for line in sketch.splitlines():
+        code, _, value = line.partition("  # ")
+        if value and code.strip():
+            assert repr(eval(code, namespace)) == value.strip(), code
+            checked += 1
+    assert checked == 6
+
+
+def test_public_names():
+    assert set(rootmult.__all__) == PUBLIC
+    assert len(rootmult.__all__) == len(PUBLIC)
+    assert all(hasattr(rootmult, name) for name in PUBLIC)

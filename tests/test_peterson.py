@@ -4,12 +4,13 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rootmult import (
-    GeneralizedCartanMatrix,
-    MultiplicityTable,
-    SerreQuotient,
-)
+from rootmult import MultiplicityTable, SerreQuotient, rank3_chain
+from rootmult.gcm import GeneralizedCartanMatrix
+
+from conftest import REVERSIBLE_CHAINS, weights_up_to
 
 A3_POSITIVE_ROOTS = {
     (1, 0, 0),
@@ -164,3 +165,23 @@ def test_short_query_after_tall_query(chain12):
     assert table.multiplicity((5, 0, 0)) == 0
     assert table.multiplicity((1, 2, 1)) == MultiplicityTable(chain12).multiplicity((1, 2, 1))
     assert table.multiplicity((3, 3, 3)) == tall
+
+
+@pytest.fixture(scope="module")
+def chain_tables():
+    return {
+        pair: MultiplicityTable(rank3_chain(*pair))
+        for a1, a2 in REVERSIBLE_CHAINS
+        for pair in ((a1, a2), (a2, a1))
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=st.sampled_from(REVERSIBLE_CHAINS), weight=weights_up_to(14))
+def test_chain_reversal(chain_tables, chain, weight):
+    # reversing the chain relabels the simple roots 1 <-> 3
+    a1, a2 = chain
+    n1, n2, n3 = weight
+    assert chain_tables[(a1, a2)].multiplicity(weight) == chain_tables[(a2, a1)].multiplicity(
+        (n3, n2, n1)
+    )

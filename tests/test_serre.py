@@ -3,17 +3,21 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rootmult import (
-    GeneralizedCartanMatrix,
+from rootmult import OracleScaleError, SerreQuotient, rank3_chain
+from rootmult.freelie import (
     Leaf,
+    NcPolynomial,
     Node,
-    OracleScaleError,
-    SerreQuotient,
     expand_standard_tuple,
-    serre_elements,
     standard_tuples_of_weight,
 )
+from rootmult.gcm import GeneralizedCartanMatrix
+from rootmult.serre import serre_elements
+
+from conftest import REVERSIBLE_CHAINS, weights_up_to
 
 
 def weights_of_height(limit: int):
@@ -117,6 +121,29 @@ def test_cap_is_loud(chain12):
         engine.multiplicity((0, 0, 0))
 
 
+ENTRY_POINTS = {
+    "ideal_dim": lambda engine, lam: engine.ideal_dim(lam),
+    "multiplicity": lambda engine, lam: engine.multiplicity(lam),
+    "standard_form_rank": lambda engine, lam: engine.standard_form_rank(lam, []),
+    "in_ideal": lambda engine, lam: engine.in_ideal(lam, NcPolynomial()),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_wrong_length_weight(chain12, entry):
+    engine = SerreQuotient(chain12)
+    for lam in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="does not match rank 3"):
+            ENTRY_POINTS[entry](engine, lam)
+
+
+def test_in_ideal_rejects_another_multidegree(engine12):
+    relation = expand_standard_tuple((1, 3))  # [e1, e3] is a defining relation
+    assert engine12.in_ideal((1, 0, 1), relation)
+    with pytest.raises(ValueError, match="multidegree"):
+        engine12.in_ideal((2, 1, 0), relation)
+
+
 def test_standard_form_rank_examples(chain12, engine12):
     lam = (1, 1, 1)
     family = list(standard_tuples_of_weight(lam))
@@ -162,6 +189,26 @@ def test_rank_is_monotone_in_the_family(engine12):
 def test_quotient_mult_never_negative(engine12):
     for lam in weights_of_height(6):
         assert engine12.multiplicity(lam) >= 0
+
+
+@pytest.fixture(scope="module")
+def chain_engines():
+    return {
+        pair: SerreQuotient(rank3_chain(*pair))
+        for a1, a2 in REVERSIBLE_CHAINS
+        for pair in ((a1, a2), (a2, a1))
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=st.sampled_from(REVERSIBLE_CHAINS), weight=weights_up_to(7))
+def test_chain_reversal(chain_engines, chain, weight):
+    # reversing the chain relabels the simple roots 1 <-> 3
+    a1, a2 = chain
+    n1, n2, n3 = weight
+    assert chain_engines[(a1, a2)].multiplicity(weight) == chain_engines[(a2, a1)].multiplicity(
+        (n3, n2, n1)
+    )
 
 
 def test_shared_engine_under_threads_matches_fresh(chain12):

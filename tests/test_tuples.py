@@ -5,22 +5,22 @@ import itertools
 import pytest
 
 from rootmult import (
-    CanonicalCount,
     FormulaParams,
-    IntervalConfig,
     OracleScaleError,
     SerreQuotient,
     Variant,
+    count_canonical,
+)
+from rootmult.formula import count_dependent, count_vanishing, total_configs
+from rootmult.tuples import (
+    CanonicalCount,
+    IntervalConfig,
     canonical_configs,
     config_to_tuple,
-    count_canonical,
-    count_dependent,
-    count_vanishing,
     enumerate_configs,
     independent_rank_check,
     is_dependent_pattern,
     is_trivial_pattern,
-    total_configs,
 )
 from rootmult.tuples import compositions
 
