@@ -289,13 +289,31 @@ def _cmd_witt(args: argparse.Namespace, out: IO[str]) -> int:
 COMMANDS = {"mult": _cmd_mult, "rewrite": _cmd_rewrite, "compare": _cmd_compare, "witt": _cmd_witt}
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--flag -1,2`` as ``--flag=-1,2``.
+
+    argparse reads a value that starts with '-' as a flag unless it is a
+    plain number, so ``--weight -1,1,1`` would never reach the weight check.
+    """
+    out: list[str] = []
+    for arg in argv:
+        negative = arg[:1] == "-" and arg[1:2].isdigit()
+        if negative and out and out[-1][:2] == "--" and "=" not in out[-1]:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     """Run one command and return its exit code.
 
     A handler raises on failure; the exception's class picks the exit code
     and its message becomes the one line written to stderr.
     """
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         return COMMANDS[args.command](args, out or sys.stdout)
     except COMPUTE_ERRORS as exc:

@@ -7,6 +7,7 @@ Relations belong to :mod:`rootmult.serre`.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterator, Mapping, Sequence, Union
@@ -20,6 +21,11 @@ StandardTuple = tuple[int, ...]
 # deepest bracket nesting parse_bracket accepts; the parser, the rewriter and
 # the tensor expansion all recurse once per level
 MAX_BRACKET_DEPTH = 256
+
+# most _bracket_tuples steps one to_standard_form call may take; a balanced
+# bracket tree of depth 4 takes up to about 70,000, while one of depth 5 ran
+# for over a minute before this limit existed
+MAX_REWRITE_STEPS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +221,19 @@ class NcPolynomial:
         return sorted(self.coeffs.items(), key=lambda t: (len(t[0]), t[0]))
 
     def multidegree(self, rank: int) -> WeightVector:
-        """Common multidegree of all words; raises if the words disagree."""
+        """Common multidegree of all words.
+
+        Raises if the words disagree or a word has a generator index
+        outside 1..rank.
+        """
         if not self.coeffs:
             raise ValueError("zero polynomial has no multidegree")
-        degrees = {tuple(w.count(i + 1) for i in range(rank)) for w in self.coeffs}
+        degrees = set()
+        for w in self.coeffs:
+            degree = tuple(w.count(i + 1) for i in range(rank))
+            if sum(degree) != len(w):
+                raise ValueError(f"word {list(w)} has a generator index outside 1..{rank}")
+            degrees.add(degree)
         if len(degrees) != 1:
             raise ValueError("words of mixed multidegree")
         return WeightVector(degrees.pop())
@@ -332,7 +347,13 @@ class LieCombination:
         )
 
 
-def _bracket_tuples(s: StandardTuple, t: StandardTuple, out: dict[StandardTuple, int], sign: int) -> None:
+def _bracket_tuples(
+    s: StandardTuple,
+    t: StandardTuple,
+    out: dict[StandardTuple, int],
+    sign: int,
+    steps: Iterator[int],
+) -> None:
     """Accumulate the left-normed rewriting of [s, t] into ``out``.
 
     Anticommutativity orients the recursion: [s, s] vanishes, and a pair
@@ -347,8 +368,11 @@ def _bracket_tuples(s: StandardTuple, t: StandardTuple, out: dict[StandardTuple,
     of the output of [v, u] whenever u, v are not both single generators
     (for a bare generator pair the negation holds after expansion).  Each
     step preserves total length, so every produced tuple has length
-    len(s) + len(t).
+    len(s) + len(t).  Each call draws one step from ``steps`` and raises
+    ``ValueError`` past :data:`MAX_REWRITE_STEPS`.
     """
+    if next(steps) > MAX_REWRITE_STEPS:
+        raise ValueError(f"rewrite takes more than {MAX_REWRITE_STEPS} bracket steps")
     if s == t:
         return
     if len(s) == 1 and len(t) == 1:
@@ -360,7 +384,7 @@ def _bracket_tuples(s: StandardTuple, t: StandardTuple, out: dict[StandardTuple,
             out.pop(key, None)
         return
     if (len(s), s) > (len(t), t):
-        _bracket_tuples(t, s, out, -sign)
+        _bracket_tuples(t, s, out, -sign, steps)
         return
     if len(s) == 1:
         key = s + t
@@ -382,7 +406,7 @@ def _bracket_tuples(s: StandardTuple, t: StandardTuple, out: dict[StandardTuple,
         return
     head, rest = s[0], s[1:]
     inner: dict[StandardTuple, int] = {}
-    _bracket_tuples(rest, t, inner, 1)
+    _bracket_tuples(rest, t, inner, 1, steps)
     for tup, c in inner.items():
         key = (head,) + tup
         v = out.get(key, 0) + sign * c
@@ -390,26 +414,31 @@ def _bracket_tuples(s: StandardTuple, t: StandardTuple, out: dict[StandardTuple,
             out[key] = v
         else:
             out.pop(key, None)
-    _bracket_tuples(rest, (head,) + t, out, -sign)
+    _bracket_tuples(rest, (head,) + t, out, -sign, steps)
 
 
 def to_standard_form(x: BracketExpr) -> LieCombination:
     """Rewrite an arbitrary bracket expression as a combination of standard tuples.
 
     The result expands to exactly the same tensor polynomial as the input:
-    the rewriting is an identity of the free Lie algebra.
+    the rewriting is an identity of the free Lie algebra.  A rewrite that
+    needs more than :data:`MAX_REWRITE_STEPS` steps raises ``ValueError``.
     """
-    if isinstance(x, Leaf):
-        return LieCombination({(x.index,): 1})
-    left = to_standard_form(x.left)
-    right = to_standard_form(x.right)
-    out: dict[StandardTuple, int] = {}
-    for s, cs in left.coeffs.items():
-        for t, ct in right.coeffs.items():
-            _bracket_tuples(s, t, out, cs * ct)
     combo = LieCombination()
-    combo.coeffs = {t: c for t, c in out.items() if c}
+    combo.coeffs = _standard_form(x, itertools.count(1))
     return combo
+
+
+def _standard_form(x: BracketExpr, steps: Iterator[int]) -> dict[StandardTuple, int]:
+    if isinstance(x, Leaf):
+        return {(x.index,): 1}
+    left = _standard_form(x.left, steps)
+    right = _standard_form(x.right, steps)
+    out: dict[StandardTuple, int] = {}
+    for s, cs in left.items():
+        for t, ct in right.items():
+            _bracket_tuples(s, t, out, cs * ct, steps)
+    return {t: c for t, c in out.items() if c}
 
 
 def expand_combination(c: LieCombination) -> NcPolynomial:

@@ -1,19 +1,19 @@
-"""Executable interval model for the rank-3 chain algebras.
+"""Interval model for the rank-3 chain algebras.
 
 A standard tuple of weight (n1, n2, n3) whose rightmost entry is 2 is
 abstracted to a sequence of n2 intervals, one per "2", each holding a count
 of 1s and of 3s; each "2" owns the interval to its left, and the order of
 balls inside an interval is immaterial in the quotient (adjacent 1/3 swaps
-change nothing there).  The model is enumerated exactly, classified into
-vanishing and duplicate patterns, and converted back to canonical tuples
-for rank checks against the quotient oracle.
+change nothing there).  The model is counted in closed form; enumerating
+and classifying it into vanishing and duplicate patterns checks the counts,
+and its canonical tuples feed rank checks against the quotient oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
 
-from .formula import FormulaParams
+from .formula import FormulaParams, Variant, count_dependent, stars_and_bars, total_configs
 from .freelie import StandardTuple
 from .gcm import GeneralizedCartanMatrix, WeightVector
 from .serre import SerreQuotient
@@ -114,21 +114,20 @@ class CanonicalCount:
 
 
 def count_canonical(p: FormulaParams) -> CanonicalCount:
-    """Classify every configuration; canonical = raw - trivial - dependent.
+    """Closed-form count of the model: canonical = raw - trivial - dependent.
 
-    The two pattern classes are disjoint by first-interval content, which
-    is asserted rather than assumed.
+    raw and dependent are :func:`total_configs` and the guarded
+    :func:`count_dependent`.  trivial is counted per colour: a first
+    interval (1, 0) and a1 - 1 empty ones leave n1 - 1 ones and n3 threes
+    for the other n2 - a1 intervals; (0, 1) likewise with a2.
     """
-    raw = trivial = dependent = 0
-    for c in enumerate_configs(p):
-        raw += 1
-        t = is_trivial_pattern(c)
-        d = is_dependent_pattern(c)
-        assert not (t and d), f"pattern classes overlap at {c.intervals}"
-        if t:
-            trivial += 1
-        elif d:
-            dependent += 1
+    raw = total_configs(p)
+    trivial = 0
+    if p.n2 > p.a1:
+        trivial += stars_and_bars(p.n1 - 1, p.n2 - p.a1) * stars_and_bars(p.n3, p.n2 - p.a1)
+    if p.n2 > p.a2:
+        trivial += stars_and_bars(p.n1, p.n2 - p.a2) * stars_and_bars(p.n3 - 1, p.n2 - p.a2)
+    dependent = count_dependent(p, Variant.GUARDED)
     return CanonicalCount(raw, trivial, dependent, raw - trivial - dependent)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import rootmult.cli as cli
 from rootmult import OracleScaleError, RecurrenceError
-from rootmult.freelie import MAX_BRACKET_DEPTH
+from rootmult.freelie import MAX_BRACKET_DEPTH, MAX_REWRITE_STEPS
 
 
 def run(*argv: str) -> tuple[int, str]:
@@ -115,10 +115,12 @@ def test_rewrite_parse_error(capsys):
     assert "position" in capsys.readouterr().err
 
 
-def test_witt():
+def test_witt(capsys):
     assert run("witt", "--weight", "2,2,2") == (0, "14\n")
     assert run("witt", "--weight", "1,1") == (0, "1\n")
     assert run("witt", "--weight", "1,1,1,1") == (0, "6\n")
+    assert run("witt", "--weight", "-1,2") == (cli.EXIT_USAGE, "")
+    assert error_lines(capsys) == ["error: negative coefficient in weight (-1, 2)"]
 
 
 def test_compare_csv_shape():
@@ -257,6 +259,7 @@ def test_mult_closed_form_methods_check_the_weight(capsys):
         for weight, message in (
             ("0,0,0", "weight must have height >= 1"),
             ("2,2,2,2", "weight length 4 does not match rank 3"),
+            ("-1,1,1", "negative coefficient in weight (-1, 1, 1)"),
         ):
             code, out = run("mult", "--gcm", "1,2", "--weight", weight, "--method", method)
             assert (code, out) == (cli.EXIT_USAGE, "")
@@ -275,6 +278,28 @@ def test_rewrite_deep_nesting_exits_2(capsys):
     assert (code, out) == (cli.EXIT_USAGE, "")
     (line,) = error_lines(capsys)
     assert f"nested deeper than {MAX_BRACKET_DEPTH}" in line
+
+
+def balanced_bracket(depth: int, first: int = 2) -> str:
+    """Balanced bracket tree whose leaves cycle through e1, e2, e3."""
+    if depth == 0:
+        return f"e{first % 3 + 1}"
+    half = 2 ** (depth - 1)
+    return f"[{balanced_bracket(depth - 1, first)},{balanced_bracket(depth - 1, first + half)}]"
+
+
+def test_rewrite_step_limit(capsys):
+    code, out = run("rewrite", balanced_bracket(4))
+    assert (code, len(out.splitlines())) == (0, 3768)
+    # a depth-4 tree whose rewrite takes about 59,000 steps and cancels to zero,
+    # so that --verify stays cheap
+    tree = "[[[[e2,e3],[e1,e2]],[[e1,e3],[e1,e2]]],[[[e1,e2],[e1,e3]],[[e2,e1],[e2,e3]]]]"
+    assert run("rewrite", tree, "--verify") == (0, "VERIFIED\n")
+    code, out = run("rewrite", balanced_bracket(5), "--verify")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert error_lines(capsys) == [
+        f"error: rewrite takes more than {MAX_REWRITE_STEPS} bracket steps"
+    ]
 
 
 @pytest.mark.parametrize(

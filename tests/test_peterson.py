@@ -12,6 +12,9 @@ from rootmult.gcm import GeneralizedCartanMatrix
 
 from conftest import REVERSIBLE_CHAINS, weights_up_to
 
+# the chains the Weyl-invariance test samples; (2, 2) is its own reversal
+WEYL_CHAINS = REVERSIBLE_CHAINS + ((2, 2),)
+
 A3_POSITIVE_ROOTS = {
     (1, 0, 0),
     (0, 1, 0),
@@ -171,7 +174,7 @@ def test_short_query_after_tall_query(chain12):
 def chain_tables():
     return {
         pair: MultiplicityTable(rank3_chain(*pair))
-        for a1, a2 in REVERSIBLE_CHAINS
+        for a1, a2 in WEYL_CHAINS
         for pair in ((a1, a2), (a2, a1))
     }
 
@@ -185,3 +188,19 @@ def test_chain_reversal(chain_tables, chain, weight):
     assert chain_tables[(a1, a2)].multiplicity(weight) == chain_tables[(a2, a1)].multiplicity(
         (n3, n2, n1)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    chain=st.sampled_from(WEYL_CHAINS),
+    weight=weights_up_to(14).filter(lambda w: sum(w) >= 2),
+    i=st.integers(0, 2),
+)
+def test_weyl_invariance(chain_tables, chain, weight, i):
+    # s_i lam = lam - (lam, alpha_i) alpha_i keeps the multiplicity (Kac, Prop. 5.1);
+    # below height 2 the only roots are the simple ones, which s_i sends negative
+    table = chain_tables[chain]
+    reflected = list(weight)
+    reflected[i] -= table.algebra.form(weight, [int(j == i) for j in range(3)])
+    expected = 0 if min(reflected) < 0 else table.multiplicity(tuple(reflected))
+    assert table.multiplicity(weight) == expected

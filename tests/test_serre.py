@@ -144,6 +144,12 @@ def test_in_ideal_rejects_another_multidegree(engine12):
         engine12.in_ideal((2, 1, 0), relation)
 
 
+def test_in_ideal_rejects_generator_above_rank(engine12):
+    # e1 e2 e4 has two letters in range, matching the weight (1, 1, 0) by count
+    with pytest.raises(ValueError, match="outside 1..3"):
+        engine12.in_ideal((1, 1, 0), NcPolynomial({b"\x01\x02\x04": 1}))
+
+
 def test_standard_form_rank_examples(chain12, engine12):
     lam = (1, 1, 1)
     family = list(standard_tuples_of_weight(lam))

@@ -164,5 +164,14 @@ def test_rank_sandwich_small_grid(chain12, engine12):
 
 
 def test_canonical_configs_match_counts():
+    """The closed-form count equals the enumerated classification, term by term."""
+    for a, n in itertools.product(GRID_LABELS, itertools.product((2, 3, 4, 5), repeat=3)):
+        p = params(a, n)
+        configs = enumerate_configs(p)
+        trivial = [is_trivial_pattern(c) for c in configs]
+        dependent = [is_dependent_pattern(c) for c in configs]
+        canonical = sum(not t and not d for t, d in zip(trivial, dependent))
+        expected = CanonicalCount(len(configs), sum(trivial), sum(dependent), canonical)
+        assert count_canonical(p) == expected, (a, n)
     p = params((2, 2), (2, 3, 2))
     assert len(canonical_configs(p)) == count_canonical(p).canonical
