@@ -184,13 +184,14 @@ def _cmd_rewrite(args: argparse.Namespace, out: IO[str]) -> int:
     expr = parse_bracket(args.expression)
     weight_of(expr, 3)  # generator indices must name e1, e2 or e3
     combo = to_standard_form(expr)
+    # both expansions run before anything is printed: either may pass
+    # freelie.MAX_EXPAND_WORDS
+    verified = args.verify and expand_tensor(expr) == expand_combination(combo)
     for t, c in combo.terms():
         print(f"{'+' if c > 0 else '-'}{abs(c)}*[{','.join(map(str, t))}]", file=out)
     if args.verify:
-        if expand_tensor(expr) == expand_combination(combo):
-            print("VERIFIED", file=out)
-        else:
-            print("MISMATCH", file=out)
+        print("VERIFIED" if verified else "MISMATCH", file=out)
+        if not verified:
             return EXIT_COMPUTE
     return EXIT_OK
 

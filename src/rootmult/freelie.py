@@ -27,6 +27,11 @@ MAX_BRACKET_DEPTH = 256
 # for over a minute before this limit existed
 MAX_REWRITE_STEPS = 1_000_000
 
+# most words one tensor expansion may hold; the alternating right-nested
+# bracket [e1,[e2,[e1,...]]] rewrites to a single tuple, yet at 24 leaves it
+# expands to 691,126 words, and each further 2 leaves cost about 3.4x that
+MAX_EXPAND_WORDS = 1_000_000
+
 
 # ---------------------------------------------------------------------------
 # bracket expressions
@@ -155,10 +160,6 @@ class NcPolynomial:
         self.coeffs: dict[bytes, int] = {w: c for w, c in (coeffs or {}).items() if c}
 
     @classmethod
-    def zero(cls) -> "NcPolynomial":
-        return cls()
-
-    @classmethod
     def generator(cls, i: int) -> "NcPolynomial":
         if not 1 <= i <= 255:
             raise ValueError(f"generator index {i} does not fit the word encoding")
@@ -209,13 +210,6 @@ class NcPolynomial:
         result.coeffs = out
         return result
 
-    def scale(self, k: int) -> "NcPolynomial":
-        if k == 0:
-            return NcPolynomial()
-        result = NcPolynomial()
-        result.coeffs = {w: k * c for w, c in self.coeffs.items()}
-        return result
-
     def terms(self) -> list[tuple[bytes, int]]:
         """Terms ordered length-first, then lexicographically."""
         return sorted(self.coeffs.items(), key=lambda t: (len(t[0]), t[0]))
@@ -248,11 +242,10 @@ class NcPolynomial:
         return " ".join(parts)
 
 
-def ad_generator(i: int, p: NcPolynomial) -> NcPolynomial:
-    """Commutator [e_i, p] in the tensor algebra."""
+def _ad_into(out: dict[bytes, int], i: int, coeffs: Mapping[bytes, int]) -> None:
+    """Accumulate [e_i, p] into ``out``, where ``coeffs`` are the terms of p."""
     prefix = bytes([i])
-    out: dict[bytes, int] = {}
-    for w, c in p.coeffs.items():
+    for w, c in coeffs.items():
         left = prefix + w
         v = out.get(left, 0) + c
         if v:
@@ -265,17 +258,31 @@ def ad_generator(i: int, p: NcPolynomial) -> NcPolynomial:
             out[right] = v
         else:
             out.pop(right, None)
+
+
+def ad_generator(i: int, p: NcPolynomial) -> NcPolynomial:
+    """Commutator [e_i, p] in the tensor algebra."""
     result = NcPolynomial()
-    result.coeffs = out
+    _ad_into(result.coeffs, i, p.coeffs)
     return result
 
 
+def _expansion_limit(words: int) -> None:
+    if words > MAX_EXPAND_WORDS:
+        raise ValueError(f"tensor expansion exceeds {MAX_EXPAND_WORDS} words")
+
+
 def expand_tensor(x: BracketExpr) -> NcPolynomial:
-    """Expand a bracket expression to its tensor-algebra image, exactly."""
+    """Expand a bracket expression to its tensor-algebra image, exactly.
+
+    Raises ``ValueError`` before forming a bracket [L, R] whose 2*|L|*|R|
+    words would pass :data:`MAX_EXPAND_WORDS`.
+    """
     if isinstance(x, Leaf):
         return NcPolynomial.generator(x.index)
     left = expand_tensor(x.left)
     right = expand_tensor(x.right)
+    _expansion_limit(2 * len(left.coeffs) * len(right.coeffs))
     return left * right - right * left
 
 
@@ -291,12 +298,41 @@ def tuple_to_expr(t: StandardTuple) -> BracketExpr:
 
 def expand_standard_tuple(t: StandardTuple) -> NcPolynomial:
     """Tensor expansion of the left-normed bracket encoded by ``t``."""
-    if not t:
+    return _expand_tuples({t: 1})
+
+
+def _expand_tuples(coeffs: Mapping[StandardTuple, int]) -> NcPolynomial:
+    """The sum of k * (expansion of t) over ``coeffs``, all tuples of one length.
+
+    By linearity, k1*[e_a, u] + k2*[e_a, v] = [e_a, k1*u + k2*v], so the
+    tuples are grouped by prefix and every distinct prefix is bracketed
+    once.  Level by level from the longest prefixes, each group's summed
+    tails are bracketed by the group's last letter into the sum of its
+    parent group, and terms cancel before the next bracket.  Working by
+    levels rather than by recursion keeps long tuples off the call stack.
+    A sum that passes :data:`MAX_EXPAND_WORDS` raises ``ValueError``.
+    """
+    result = NcPolynomial()
+    if not coeffs:
+        return result
+    n = len(next(iter(coeffs)))
+    if n == 0:
         raise ValueError("empty standard tuple")
-    p = NcPolynomial.generator(t[-1])
-    for a in reversed(t[:-1]):
-        p = ad_generator(a, p)
-    return p
+    # each prefix of length n - 1 maps to the sum of k * e_{t[-1]} below it
+    level: dict[StandardTuple, dict[bytes, int]] = {}
+    for t, k in coeffs.items():
+        if len(t) != n:
+            raise ValueError("standard tuples of mixed length")
+        level.setdefault(t[:-1], {})[bytes(t[-1:])] = k
+    for _ in range(n - 1):
+        parents: dict[StandardTuple, dict[bytes, int]] = {}
+        for prefix, tails in level.items():
+            out = parents.setdefault(prefix[:-1], {})
+            _ad_into(out, prefix[-1], tails)
+            _expansion_limit(len(out))
+        level = parents
+    result.coeffs = level[()]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +478,13 @@ def _standard_form(x: BracketExpr, steps: Iterator[int]) -> dict[StandardTuple, 
 
 
 def expand_combination(c: LieCombination) -> NcPolynomial:
-    """Tensor expansion of a formal combination of standard tuples."""
-    total = NcPolynomial()
-    for t, k in c.coeffs.items():
-        total = total + expand_standard_tuple(t).scale(k)
-    return total
+    """Tensor expansion of a formal combination of standard tuples.
+
+    Tuples that share a prefix share its brackets: the combination is
+    summed under each distinct prefix before that prefix is expanded (see
+    :func:`_expand_tuples`), instead of expanding every tuple on its own.
+    """
+    return _expand_tuples(c.coeffs)
 
 
 # ---------------------------------------------------------------------------

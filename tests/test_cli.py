@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import rootmult.cli as cli
 from rootmult import OracleScaleError, RecurrenceError
-from rootmult.freelie import MAX_BRACKET_DEPTH, MAX_REWRITE_STEPS
+from rootmult.freelie import MAX_BRACKET_DEPTH, MAX_EXPAND_WORDS, MAX_REWRITE_STEPS
 
 
 def run(*argv: str) -> tuple[int, str]:
@@ -289,10 +292,10 @@ def balanced_bracket(depth: int, first: int = 2) -> str:
 
 
 def test_rewrite_step_limit(capsys):
-    code, out = run("rewrite", balanced_bracket(4))
-    assert (code, len(out.splitlines())) == (0, 3768)
-    # a depth-4 tree whose rewrite takes about 59,000 steps and cancels to zero,
-    # so that --verify stays cheap
+    code, out = run("rewrite", balanced_bracket(4), "--verify")
+    lines = out.splitlines()
+    assert (code, len(lines), lines[-1]) == (0, 3769, "VERIFIED")
+    # a depth-4 tree whose rewrite takes about 59,000 steps and cancels to zero
     tree = "[[[[e2,e3],[e1,e2]],[[e1,e3],[e1,e2]]],[[[e1,e2],[e1,e3]],[[e2,e1],[e2,e3]]]]"
     assert run("rewrite", tree, "--verify") == (0, "VERIFIED\n")
     code, out = run("rewrite", balanced_bracket(5), "--verify")
@@ -300,6 +303,30 @@ def test_rewrite_step_limit(capsys):
     assert error_lines(capsys) == [
         f"error: rewrite takes more than {MAX_REWRITE_STEPS} bracket steps"
     ]
+
+
+def alternating_bracket(leaves: int) -> str:
+    """Right-nested [e1,[e2,[e1,...]]]: one standard tuple, 2^(leaves-1) words at most."""
+    expr = f"e{2 - leaves % 2}"
+    for i in range(leaves - 1, 0, -1):
+        expr = f"[e{2 - i % 2},{expr}]"
+    return expr
+
+
+def test_rewrite_verify_below_the_expansion_limit():
+    tuple_line = "+1*[" + ",".join(["1,2"] * 11) + "]\n"
+    assert run("rewrite", alternating_bracket(22), "--verify") == (0, tuple_line + "VERIFIED\n")
+
+
+def test_module_entry_point_exits_2_past_the_expansion_limit():
+    # the real `sys.exit(main())` path: one error line, no traceback
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "rootmult", "rewrite", alternating_bracket(26), "--verify"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
+    assert proc.stderr.splitlines() == [f"error: tensor expansion exceeds {MAX_EXPAND_WORDS} words"]
 
 
 @pytest.mark.parametrize(

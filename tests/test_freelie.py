@@ -4,7 +4,10 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rootmult.freelie as freelie
 from rootmult import ParseError, free_lie_dim, parse_bracket, to_standard_form
 from rootmult.freelie import (
     Leaf,
@@ -115,6 +118,69 @@ def test_expand_standard_tuple_matches_tree_expansion():
     for _ in range(60):
         t = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 7)))
         assert expand_standard_tuple(t) == expand_tensor(tuple_to_expr(t))
+
+
+@st.composite
+def combinations(draw) -> tuple[LieCombination, bool]:
+    """A combination of tuples of one multidegree, and whether it expands to zero.
+
+    Every tuple is a permutation of one base tuple.  A general combination
+    keeps a drawn prefix of the base and permutes only the rest, so long
+    shared prefixes are common.  A cancelling one is a sum of multiples of
+    the relations [p, [a, b]] + [p, [b, a]] and
+    [p, [a, [b, c]]] + [p, [b, [c, a]]] + [p, [c, [a, b]]], which expand to 0.
+    """
+    base = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    cancelling = len(base) >= 2 and draw(st.booleans())
+    coeffs: dict[tuple[int, ...], int] = {}
+    for _ in range(draw(st.integers(0, 10))):
+        k = draw(st.integers(-3, 3).filter(bool))
+        if cancelling:
+            perm = tuple(draw(st.permutations(base)))
+            size = draw(st.sampled_from((2, 3) if len(base) >= 3 else (2,)))
+            p, rest = perm[:-size], perm[-size:]
+            # the rotations of (a, b) and of (a, b, c) are the two relations
+            terms = [p + rest[i:] + rest[:i] for i in range(size)]
+        else:
+            shared = draw(st.integers(0, len(base)))
+            terms = [tuple(base[:shared]) + tuple(draw(st.permutations(base[shared:])))]
+        for t in terms:
+            coeffs[t] = coeffs.get(t, 0) + k
+    return LieCombination(coeffs), cancelling
+
+
+@settings(max_examples=300, deadline=None)
+@given(combinations())
+def test_expand_combination_is_the_sum_of_its_tuples(drawn):
+    combo, cancelling = drawn
+    reference = NcPolynomial()
+    for t, k in combo.coeffs.items():
+        reference = reference + NcPolynomial(
+            {w: k * c for w, c in expand_standard_tuple(t).coeffs.items()}
+        )
+    assert expand_combination(combo) == reference
+    if cancelling:
+        assert not reference
+
+
+def test_expand_empty_combination_is_zero():
+    assert expand_combination(LieCombination()) == NcPolynomial()
+
+
+def test_expansions_stop_past_the_word_limit(monkeypatch):
+    t = (1, 2) * 6
+    words = len(expand_standard_tuple(t).coeffs)
+    monkeypatch.setattr(freelie, "MAX_EXPAND_WORDS", words - 1)
+    message = f"tensor expansion exceeds {words - 1} words"
+    with pytest.raises(ValueError, match=message):
+        expand_standard_tuple(t)
+    with pytest.raises(ValueError, match=message):
+        expand_combination(LieCombination({t: 1, (2, 1) * 6: -1}))
+    with pytest.raises(ValueError, match=message):
+        expand_tensor(tuple_to_expr(t))
+    # the tree expansion checks 2*|L|*|R| before it forms [L, R]
+    monkeypatch.setattr(freelie, "MAX_EXPAND_WORDS", 2 * words)
+    assert expand_tensor(tuple_to_expr(t)) == expand_standard_tuple(t)
 
 
 def test_nc_polynomial_term_order_is_length_then_lex():
