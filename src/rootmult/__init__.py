@@ -4,8 +4,9 @@ Three independent routes to dim g_lam are provided and cross-checked:
 
 * a closed-form binomial count on an interval model (:mod:`rootmult.formula`,
   :mod:`rootmult.tuples`),
-* a free-Lie-algebra / relation-ideal quotient computed by exact integer
-  linear algebra (:mod:`rootmult.freelie`, :mod:`rootmult.serre`),
+* the quotient of the free Lie algebra by the Serre relations, each root
+  space built from the ones below it by exact integer linear algebra
+  (:mod:`rootmult.serre`),
 * the Peterson recurrence in exact rational arithmetic
   (:mod:`rootmult.peterson`).
 

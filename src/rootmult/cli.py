@@ -12,6 +12,7 @@ witt     free Lie algebra dimension of a multidegree
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -118,7 +119,9 @@ def _parse_height_cap(text: str) -> int:
     return cap
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rootmult",
         description="Exact root multiplicities of rank-3 chain Kac-Moody algebras.",

@@ -196,20 +196,6 @@ class NcPolynomial:
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
         return self + (-other)
 
-    def __mul__(self, other: "NcPolynomial") -> "NcPolynomial":
-        out: dict[bytes, int] = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                w = w1 + w2
-                v = out.get(w, 0) + c1 * c2
-                if v:
-                    out[w] = v
-                else:
-                    out.pop(w, None)
-        result = NcPolynomial()
-        result.coeffs = out
-        return result
-
     def terms(self) -> list[tuple[bytes, int]]:
         """Terms ordered length-first, then lexicographically."""
         return sorted(self.coeffs.items(), key=lambda t: (len(t[0]), t[0]))
@@ -283,7 +269,25 @@ def expand_tensor(x: BracketExpr) -> NcPolynomial:
     left = expand_tensor(x.left)
     right = expand_tensor(x.right)
     _expansion_limit(2 * len(left.coeffs) * len(right.coeffs))
-    return left * right - right * left
+    out: dict[bytes, int] = {}
+    for w1, c1 in left.coeffs.items():
+        for w2, c2 in right.coeffs.items():
+            c = c1 * c2
+            w = w1 + w2
+            v = out.get(w, 0) + c
+            if v:
+                out[w] = v
+            else:
+                out.pop(w, None)
+            w = w2 + w1
+            v = out.get(w, 0) - c
+            if v:
+                out[w] = v
+            else:
+                out.pop(w, None)
+    result = NcPolynomial()
+    result.coeffs = out
+    return result
 
 
 def tuple_to_expr(t: StandardTuple) -> BracketExpr:

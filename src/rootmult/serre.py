@@ -1,34 +1,43 @@
-"""Defining relations and the brute-force quotient oracle.
+"""Defining relations and the quotient oracle, built by f-images.
 
-The positive part of the algebra of a symmetric generalized Cartan matrix A
-is the free Lie algebra on e_1..e_r modulo the ideal generated by the
-elements ad(e_i)^(1-A_ij)(e_j).  In a free Lie algebra the ideal generated
-by a set S is spanned by the iterated left brackets
-[e_{i_1}, [..., [e_{i_k}, s] ...]] with s in S: brackets by arbitrary
-elements reduce to chains of single-generator brackets via the Jacobi
-identity, because the generators generate the whole algebra.  The graded
-slice of that span is computed here by exact integer linear algebra, so
+The positive part of the Kac-Moody algebra of a symmetric generalized Cartan
+matrix A is the free Lie algebra on e_1..e_r modulo the ideal generated by
+the elements ad(e_i)^(1-A_ij)(e_j).  For symmetrizable A that ideal is the
+largest graded ideal meeting the Cartan subalgebra trivially (Gabber-Kac;
+Kac, *Infinite-dimensional Lie algebras*, Thm 9.11).  So an element x of
+height >= 2 is zero exactly when every [f_j, x] is, and
 
-    dim g_lam = free_lie_dim(lam) - dim ideal_lam.
+    x -> ([f_j, x])_j
+
+embeds g_lam into the direct sum of the g_{lam - alpha_j}.  The root space
+g_lam is spanned by the brackets [e_i, y], y running over a basis of
+g_{lam - alpha_i}, and their images follow from the spaces below:
+
+    [f_j, [e_i, y]] = -delta_ij <lam - alpha_i, alpha_i^vee> y + [e_i, [f_j, y]].
+
+The work grows with the multiplicities, not with the number of tensor words,
+and the ideal is measured as the free Lie dimension minus dim g_lam.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .freelie import (
     BracketExpr,
+    LieCombination,
     NcPolynomial,
     StandardTuple,
-    ad_generator,
-    expand_standard_tuple,
+    ad_generator,  # noqa: F401  unused; bench/spans.py traces serre.ad_generator by name
+    expand_combination,
     free_lie_dim,
     tuple_to_expr,
 )
 from .gcm import GeneralizedCartanMatrix, WeightVector, query_weight
-from .linalg import EchelonBasis
 
 DEFAULT_HEIGHT_CAP = 10
 
@@ -79,18 +88,95 @@ def serre_elements(A: GeneralizedCartanMatrix) -> list[SerreElement]:
     return out
 
 
+# A sparse integer vector: coordinate -> nonzero entry.
+Row = dict[int, int]
+
+# A matrix stored as (columns, denominator): column k, divided by the
+# denominator, is the image of basis vector k.
+Matrix = tuple[list[Row], int]
+
+
+class _Space(NamedTuple):
+    """The root space g_mu in coordinates, with the maps [e_i, .] into it.
+
+    ``images[m]``, divided by ``image_den``, is the image of basis vector m
+    in the direct sum of the g_{mu - alpha_j}; its column c is coordinate
+    ``blocks[c][1]`` of g_{mu - alpha_j}, j = ``blocks[c][0]``.
+    ``raising[i]`` is the matrix of [e_i, .] from g_{mu - alpha_i} into g_mu.
+    The zero weight stands for the Cartan subalgebra, with basis h_1..h_r
+    and no images.
+    """
+
+    dim: int
+    blocks: list[tuple[int, int]]
+    images: list[Row]
+    image_den: int
+    raising: dict[int, Matrix]
+
+
+def _lower(mu: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return mu[:i] + (mu[i] - 1,) + mu[i + 1 :]
+
+
+def _divide(row: Row, g: int) -> Row:
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _axpy(out: Row, f: int, row: Row) -> None:
+    """out += f * row, dropping the entries that cancel."""
+    for c, v in row.items():
+        v = out.get(c, 0) + f * v
+        if v:
+            out[c] = v
+        else:
+            del out[c]
+
+
+def _echelon(rows: list[Row]) -> dict[int, Row]:
+    """Reduced row echelon basis of integer rows, keyed by pivot column.
+
+    Fraction-free: every kept row is zero at the pivots of the others, so a
+    new row x is reduced in one step, L*x - sum of (x[p]*L/b[p])*b over the
+    rows b with x[p] != 0, where L is the lcm of their pivot entries.  What
+    is left is kept, divided by its content, and its pivot cleared from the
+    rows kept before it.  The pivots keep the order their rows were kept in.
+    """
+    basis: dict[int, Row] = {}
+    for x in rows:
+        used = [p for p in x if p in basis]
+        if used:
+            common = math.lcm(*(basis[p][p] for p in used))
+            reduced = {c: common * v for c, v in x.items()}
+            for p in used:
+                _axpy(reduced, -(x[p] * common // basis[p][p]), basis[p])
+            x = reduced
+        if not x:
+            continue
+        x = _divide(x, math.gcd(*x.values()))
+        q = min(x)
+        a = x[q]
+        for p, b in basis.items():
+            c = b.get(q)
+            if c:
+                b = {col: a * v for col, v in b.items()}
+                _axpy(b, -c, x)
+                basis[p] = _divide(b, math.gcd(*b.values()))
+        basis[q] = x
+    return basis
+
+
 class SerreQuotient:
-    """Graded quotient engine for one algebra, memoizing ideal bases by weight.
+    """Root spaces of one algebra, built from their f-images and memoized by weight.
 
-    The ideal slice at a weight lam is built bottom-up, filling the box
-    below lam in lexicographic order: its spanning rows are the relations
-    of weight lam plus [e_i, b] for every basis row b of the slice at
-    lam - alpha_i.  Bracketing by a generator is linear, so propagating a
-    basis (rather than every bracket chain) spans the same space while
-    keeping the matrices small.  All elimination is fraction-free integer
-    arithmetic; results are exact.
+    The spaces are filled bottom-up over the box below a weight lam, in
+    lexicographic order, so every g_{mu - alpha_i} exists when g_mu is built.
+    The candidates for g_mu are the images of [e_i, y_k], y_k a basis vector
+    of g_{mu - alpha_i}.  Fraction-free elimination picks a basis of g_mu
+    among them, and its pivot columns are the coordinates of g_mu: every
+    candidate read at the pivots gives one column of [e_i, .].  All arithmetic
+    is in the integers, with explicit denominators; results are exact.
 
-    Instances are safe to share across threads: a lock serializes basis
+    Instances are safe to share across threads: a lock serializes space
     construction, and cached values are immutable afterwards.
     """
 
@@ -99,14 +185,22 @@ class SerreQuotient:
         A: GeneralizedCartanMatrix,
         height_cap: int = DEFAULT_HEIGHT_CAP,
     ) -> None:
+        if not A.is_symmetric:
+            raise ValueError(
+                "the quotient oracle requires a symmetric Cartan matrix: the Serre "
+                "relations generate the maximal ideal only for symmetrizable A (Gabber-Kac)"
+            )
         self.algebra = A
         self.height_cap = height_cap
-        self.relations = serre_elements(A)
-        self._rows_by_weight: dict[tuple[int, ...], list[NcPolynomial]] = {}
-        for el in self.relations:
-            rows = self._rows_by_weight.setdefault(el.weight.coeffs, [])
-            rows.append(expand_standard_tuple(el.tuple_form))
-        self._bases: dict[tuple[int, ...], EchelonBasis] = {}
+        r = A.rank
+        zero = (0,) * r
+        # g_0 is the Cartan subalgebra; [f_i, e_i] = -h_i and [e_i, h_k] = -a_ki e_i
+        self._spaces: dict[tuple[int, ...], _Space] = {zero: _Space(r, [], [], 1, {})}
+        for i in range(r):
+            raising = ([{0: -A[k, i]} if A[k, i] else {} for k in range(r)], 1)
+            simple = zero[:i] + (1,) + zero[i + 1 :]
+            blocks = [(i, k) for k in range(r)]
+            self._spaces[simple] = _Space(1, blocks, [{i: -1}], 1, {i: raising})
         self._lock = threading.RLock()
 
     def scale_error(self, lam: WeightVector) -> OracleScaleError:
@@ -115,52 +209,98 @@ class SerreQuotient:
             f"cap is {self.height_cap}"
         )
 
-    def _feasible(self, coeffs: tuple[int, ...]) -> bool:
-        return any(
-            all(ws <= c for ws, c in zip(w, coeffs)) for w in self._rows_by_weight
-        )
+    def _build(self, lam: tuple[int, ...]) -> _Space:
+        """g_lam for height >= 2; every space below it must already be built."""
+        A = self.algebra.entries
+        spaces = self._spaces
+        offsets: dict[int, int] = {}
+        blocks: list[tuple[int, int]] = []
+        for j, c in enumerate(lam):
+            if c:
+                offsets[j] = len(blocks)
+                blocks.extend((j, k) for k in range(spaces[_lower(lam, j)].dim))
+        rows: list[Row] = []
+        sources: list[tuple[int, int, int]] = []  # (i, first row, denominator)
+        for i in offsets:
+            mu = _lower(lam, i)
+            src = spaces[mu]
+            # [e_i, .] on block j runs from g_{lam - alpha_i - alpha_j} to g_{lam - alpha_j}
+            maps = {j: spaces[_lower(lam, j)].raising[i] for j, c in enumerate(mu) if c}
+            common = math.lcm(1, *(den for _, den in maps.values()))
+            scale = src.image_den * common
+            shift = scale * sum(a * m for a, m in zip(A[i], mu))
+            sources.append((i, len(rows), scale))
+            for k, y in enumerate(src.images):
+                row: Row = {}
+                for c, v in y.items():
+                    j, l = src.blocks[c]
+                    cols, den = maps[j]
+                    out = offsets[j]
+                    f = v * (common // den)
+                    for t, e in cols[l].items():
+                        row[out + t] = row.get(out + t, 0) + f * e
+                t = offsets[i] + k
+                row[t] = row.get(t, 0) - shift
+                rows.append({c: v for c, v in row.items() if v})
+        basis = _echelon(rows)
+        raising: dict[int, Matrix] = {}
+        for n, (i, first, den) in enumerate(sources):
+            last = sources[n + 1][1] if n + 1 < len(sources) else len(rows)
+            cols = [
+                {m: row[p] for m, p in enumerate(basis) if p in row} for row in rows[first:last]
+            ]
+            g = math.gcd(den, *(v for col in cols for v in col.values()))
+            raising[i] = ([_divide(col, g) for col in cols], den // g)
+        image_den = math.lcm(1, *(b[p] for p, b in basis.items()))
+        images = [{c: v * (image_den // b[p]) for c, v in b.items()} for p, b in basis.items()]
+        g = math.gcd(image_den, *(v for row in images for v in row.values()))
+        images = [_divide(row, g) for row in images]
+        return _Space(len(basis), blocks, images, image_den // g, raising)
 
-    def _slice(self, coeffs: tuple[int, ...]) -> EchelonBasis:
-        """Ideal slice at ``coeffs``; every slice below it must already be built."""
-        basis = EchelonBasis()
-        if self._feasible(coeffs):
-            for poly in self._rows_by_weight.get(coeffs, ()):
-                basis.insert(poly.coeffs)
-            for i, c in enumerate(coeffs):
-                if c == 0:
-                    continue
-                below = coeffs[:i] + (c - 1,) + coeffs[i + 1 :]
-                for row in self._bases[below].pivots.values():
-                    wrapped = NcPolynomial()
-                    wrapped.coeffs = row
-                    basis.insert(ad_generator(i + 1, wrapped).coeffs)
-        return basis
-
-    def _basis(self, coeffs: tuple[int, ...]) -> EchelonBasis:
-        bases = self._bases
-        if coeffs not in bases:
+    def _space(self, coeffs: tuple[int, ...]) -> _Space:
+        spaces = self._spaces
+        if coeffs not in spaces:
             # lexicographic fill of the box visits every componentwise-smaller
-            # weight first, which is all a slice depends on
+            # weight first, which is all a space depends on
             for mu in itertools.product(*(range(c + 1) for c in coeffs)):
-                if mu not in bases:
-                    bases[mu] = self._slice(mu)
-        return bases[coeffs]
+                if mu not in spaces:
+                    spaces[mu] = self._build(mu)
+        return spaces[coeffs]
+
+    def _evaluate(self, t: StandardTuple) -> tuple[Row, int]:
+        """Coordinates of the left-normed bracket ``t`` as (integers, denominator).
+
+        The bracket is E_{t1} ... E_{t(n-1)} e_{tn}, applied right to left;
+        every space on the way must already be built.
+        """
+        mu = [0] * self.algebra.rank
+        mu[t[-1] - 1] = 1
+        vec, den = {0: 1}, 1
+        for s in reversed(t[:-1]):
+            mu[s - 1] += 1
+            cols, d = self._spaces[tuple(mu)].raising[s - 1]
+            out: Row = {}
+            for k, v in vec.items():
+                _axpy(out, v, cols[k])
+            vec, den = out, den * d
+        return vec, den
 
     def ideal_dim(self, lam: WeightVector | Sequence[int]) -> int:
         """Dimension of the graded slice of the relation ideal at ``lam``."""
         lam = query_weight(self.algebra, lam)
         with self._lock:
-            return self._basis(lam.coeffs).rank
+            mult = self._space(lam.coeffs).dim
+        return free_lie_dim(lam) - mult
 
     def multiplicity(self, lam: WeightVector | Sequence[int]) -> int:
-        """dim g_lam = free dimension minus ideal slice dimension."""
+        """dim g_lam, checked against the free Lie dimension it is a quotient of."""
         lam = query_weight(self.algebra, lam)
         if lam.height > self.height_cap:
             raise self.scale_error(lam)
         with self._lock:
-            mult = free_lie_dim(lam) - self._basis(lam.coeffs).rank
-        if mult < 0:
-            raise ArithmeticError(f"ideal slice larger than free component at {lam.coeffs}")
+            mult = self._space(lam.coeffs).dim
+        if free_lie_dim(lam) - mult < 0:
+            raise ArithmeticError(f"root space larger than the free Lie component at {lam.coeffs}")
         return mult
 
     def standard_form_rank(
@@ -170,25 +310,29 @@ class SerreQuotient:
     ) -> int:
         """Dimension of the span of the given standard tuples inside g_lam.
 
-        Computed as rank(family rows + ideal basis) minus the ideal rank,
-        by inserting the family into a copy of the ideal basis.
+        Each tuple t is evaluated as E_{t1} ... E_{t(n-1)} e_{tn} through the
+        matrices of [e_i, .]; the result is the rank of those coordinates.
         """
         lam = query_weight(self.algebra, lam)
         rank = self.algebra.rank
         for t in family:
             degree = tuple(t.count(i + 1) for i in range(rank))
-            if degree != lam.coeffs:
+            if degree != lam.coeffs or len(t) != lam.height:
                 raise ValueError(f"tuple {t} has multidegree {degree}, expected {lam.coeffs}")
         if not family:
             return 0
         with self._lock:
-            scratch = self._basis(lam.coeffs).copy()
-        return scratch.insert_all(expand_standard_tuple(t).coeffs for t in family)
+            self._space(lam.coeffs)
+            rows = [self._evaluate(t)[0] for t in family]
+        return len(_echelon(rows))
 
     def in_ideal(self, lam: WeightVector | Sequence[int], poly: NcPolynomial) -> bool:
         """Exact membership of a tensor polynomial in the ideal slice at ``lam``.
 
-        A nonzero ``poly`` must have multidegree ``lam``.
+        A nonzero ``poly`` must have multidegree ``lam``.  By Dynkin-Specht-Wever,
+        sending each word w to the left-normed bracket of its letters maps a Lie
+        polynomial P of degree n to n*P.  So P is in the ideal when that image
+        is n*P (P is a Lie element) and its value in g_lam is zero.
         """
         lam = query_weight(self.algebra, lam)
         if not poly:
@@ -196,5 +340,15 @@ class SerreQuotient:
         degree = poly.multidegree(self.algebra.rank)
         if degree != lam:
             raise ValueError(f"polynomial has multidegree {degree.coeffs}, expected {lam.coeffs}")
+        combo = LieCombination({tuple(w): c for w, c in poly.coeffs.items()})
+        n = lam.height
+        if expand_combination(combo) != NcPolynomial({w: n * c for w, c in poly.coeffs.items()}):
+            return False
+        total: dict[int, Fraction] = {}
         with self._lock:
-            return self._basis(lam.coeffs).contains(poly.coeffs)
+            self._space(lam.coeffs)
+            for t, c in combo.coeffs.items():
+                vec, den = self._evaluate(t)
+                for m, v in vec.items():
+                    total[m] = total.get(m, 0) + Fraction(c * v, den)
+        return not any(total.values())

@@ -16,6 +16,7 @@ from typing import Iterator
 from .formula import FormulaParams, Variant, count_dependent, stars_and_bars, total_configs
 from .freelie import StandardTuple
 from .gcm import GeneralizedCartanMatrix, WeightVector
+from .peterson import MultiplicityTable
 from .serre import SerreQuotient
 
 
@@ -171,10 +172,11 @@ def independent_rank_check(
 ) -> RankCheck:
     """Measure the canonical family inside the quotient.
 
-    Converts the canonical configurations to tuples, computes the rank of
-    their span in the root space, and fetches the oracle multiplicity; the
-    three numbers are returned for reporting.  The rank can never exceed
-    the multiplicity.
+    Converts the canonical configurations to tuples and computes the rank
+    of their span in the root space built by the quotient oracle.  The
+    multiplicity comes from the Peterson recurrence, so comparing the two
+    compares independent oracles.  The three numbers are returned for
+    reporting; the rank can never exceed the multiplicity.
     """
     if engine is None:
         engine = SerreQuotient(A)
@@ -183,5 +185,5 @@ def independent_rank_check(
         raise engine.scale_error(lam)
     family = [config_to_tuple(c) for c in canonical_configs(p)]
     rank = engine.standard_form_rank(lam, family)
-    mult = engine.multiplicity(lam)
+    mult = MultiplicityTable(A).multiplicity(lam)
     return RankCheck(canonical_count=len(family), rank_in_quotient=rank, oracle_mult=mult)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,34 @@ def test_flag_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run("mult", "--gcm", "1,2", "--weight", "1,1,1", "--method", "magic")
     assert exc.value.code == 2
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys):
+    calls = [
+        ("mult", "--gcm", "1,2", "--weight", "2,2,2", "--method", "quotient"),
+        ("mult", "--gcm", "1,2", "--weight", "1,1,1", "--method", "magic"),
+        ("rewrite", "[[e1,e2],[e3,e2]]", "--verify"),
+        ("mult", "--gcm", "2,2", "--weight", "1,2,1", "--method", "peterson"),
+    ]
+
+    def outcome(argv: tuple[str, ...]) -> tuple[object, str, str]:
+        try:
+            result: object = run(*argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    cli.build_parser.cache_clear()
+    warm = [outcome(argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert warm == fresh
+    assert warm[1][0] == ("exit", 2)
+    assert warm[2][0] == (0, "+1*[1,2,3,2]\n-1*[2,1,3,2]\nVERIFIED\n")
 
 
 def test_rewrite():
@@ -270,9 +299,20 @@ def test_mult_closed_form_methods_check_the_weight(capsys):
 
 
 def test_mult_quotient_tall_thin_weight():
-    # the ideal slices below a weight are built without recursion
+    # the root spaces below a weight are built without recursion
     argv = ("--weight", "1100,1,0", "--method", "quotient", "--height-cap", "2000")
     assert run("mult", "--gcm", "1,2", *argv) == (0, "0\n")
+
+
+def test_mult_quotient_at_height_12_is_fast():
+    # the tensor-word elimination this oracle replaced took 190 s here
+    argv = ("--weight", "4,4,4", "--method", "quotient", "--height-cap", "12")
+    start = time.monotonic()
+    code, out = run("mult", "--gcm", "1,2", *argv)
+    elapsed = time.monotonic() - start
+    assert (code, out) == run("mult", "--gcm", "1,2", "--weight", "4,4,4", "--method", "peterson")
+    assert out == "1\n"
+    assert elapsed <= 2.0
 
 
 def test_rewrite_deep_nesting_exits_2(capsys):

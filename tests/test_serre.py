@@ -15,6 +15,7 @@ from rootmult.freelie import (
     standard_tuples_of_weight,
 )
 from rootmult.gcm import GeneralizedCartanMatrix
+from rootmult.linalg import matrix_rank
 from rootmult.serre import serre_elements
 
 from conftest import REVERSIBLE_CHAINS, weights_up_to
@@ -90,9 +91,41 @@ def test_quotient_handles_other_ranks():
     assert engine4.multiplicity((1, 2, 1, 0)) == 0
 
 
+def test_quotient_requires_a_symmetric_matrix():
+    b2 = GeneralizedCartanMatrix(((2, -1), (-2, 2)))
+    with pytest.raises(ValueError, match="symmetric Cartan matrix.*Gabber-Kac"):
+        SerreQuotient(b2)
+
+
 # ---------------------------------------------------------------------------
 # ideal slices and quotient multiplicities
 # ---------------------------------------------------------------------------
+
+def brute_force_ideal_dim(A: GeneralizedCartanMatrix, lam: tuple[int, ...]) -> int:
+    """Rank of the tensor expansions of [e_i1, [..., [e_ik, s]]] over every relation s."""
+    rows = []
+    for el in serre_elements(A):
+        rest = tuple(c - w for c, w in zip(lam, el.weight.coeffs))
+        if min(rest) < 0:
+            continue
+        for prefix in standard_tuples_of_weight(rest):
+            rows.append(expand_standard_tuple(prefix + el.tuple_form).coeffs)
+    return matrix_rank(rows)
+
+
+@pytest.mark.parametrize("chain", [(1, 2), (2, 2), (1, 3), "A2"], ids=str)
+def test_ideal_dim_matches_the_presentation(chain):
+    # the relations generate the ideal the f-image construction quotients by
+    if chain == "A2":
+        A = GeneralizedCartanMatrix(((2, -1), (-1, 2)))
+        weights = [(n1, n2) for n1 in range(7) for n2 in range(7) if 1 <= n1 + n2 <= 6]
+    else:
+        A = rank3_chain(*chain)
+        weights = list(weights_of_height(6))
+    engine = SerreQuotient(A)
+    for lam in weights:
+        assert engine.ideal_dim(lam) == brute_force_ideal_dim(A, lam), (chain, lam)
+
 
 def test_ideal_dim_examples(chain12, engine12):
     assert engine12.ideal_dim((1, 0, 1)) == 1
@@ -142,6 +175,12 @@ def test_in_ideal_rejects_another_multidegree(engine12):
     assert engine12.in_ideal((1, 0, 1), relation)
     with pytest.raises(ValueError, match="multidegree"):
         engine12.in_ideal((2, 1, 0), relation)
+
+
+def test_in_ideal_needs_a_lie_element(engine12):
+    # e1 e3 + e3 e1 is not a Lie polynomial, though its left-normed brackets cancel
+    assert not engine12.in_ideal((1, 0, 1), NcPolynomial({b"\x01\x03": 1, b"\x03\x01": 1}))
+    assert engine12.in_ideal((1, 0, 1), NcPolynomial({b"\x01\x03": 1, b"\x03\x01": -1}))
 
 
 def test_in_ideal_rejects_generator_above_rank(engine12):

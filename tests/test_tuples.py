@@ -6,6 +6,7 @@ import pytest
 
 from rootmult import (
     FormulaParams,
+    MultiplicityTable,
     OracleScaleError,
     SerreQuotient,
     Variant,
@@ -149,6 +150,15 @@ def test_rank_check_finite_type(chain11):
     check = independent_rank_check(chain11, params((1, 1), (2, 2, 2)), engine)
     assert check.oracle_mult == 0
     assert check.rank_in_quotient == 0
+
+
+def test_rank_check_takes_the_multiplicity_from_the_recurrence(chain12, monkeypatch):
+    # rank = mult is only a check when the two numbers come from different oracles
+    engine = SerreQuotient(chain12)
+    monkeypatch.setattr(engine, "multiplicity", lambda lam: pytest.fail("quotient mult asked"))
+    check = independent_rank_check(chain12, params((1, 2), (2, 3, 2)), engine)
+    assert check.oracle_mult == MultiplicityTable(chain12).multiplicity((2, 3, 2))
+    assert check.rank_in_quotient == check.oracle_mult
 
 
 def test_rank_check_respects_cap(chain12):
