@@ -173,9 +173,6 @@ class NcPolynomial:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():

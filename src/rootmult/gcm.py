@@ -124,22 +124,3 @@ def query_weight(A: GeneralizedCartanMatrix, lam: WeightVector | Sequence[int]) 
         raise ValueError("weight must have height >= 1")
     return lam
 
-
-def symmetric_form(
-    A: GeneralizedCartanMatrix,
-    lam: WeightVector | Sequence[int],
-    mu: WeightVector | Sequence[int],
-) -> int:
-    """Evaluate the invariant bilinear form lam^T A mu.
-
-    Only symmetric matrices are accepted; for those, (alpha_i, alpha_j) = A_ij
-    defines a symmetric invariant form on the root lattice.
-    """
-    if not A.is_symmetric:
-        raise ValueError("bilinear form requires a symmetric Cartan matrix")
-    lam = WeightVector.of(lam)
-    mu = WeightVector.of(mu)
-    n = A.rank
-    if len(lam) != n or len(mu) != n:
-        raise ValueError(f"weight length mismatch: rank {n}, got {len(lam)} and {len(mu)}")
-    return A.form(lam.coeffs, mu.coeffs)

@@ -27,7 +27,7 @@ import itertools
 import threading
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .gcm import GeneralizedCartanMatrix, WeightVector, query_weight
 
@@ -65,23 +65,11 @@ class MultiplicityTable:
         self._cnum = {w: c * factor for w, c in self._cnum.items()}
         self._denom = target
 
-    def _box(self, lam: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        # rank 3 dominates every hot path; the explicit loops are measurably
-        # faster than itertools.product there
-        if len(lam) == 3:
-            l0, l1, l2 = lam
-            for x in range(l0 + 1):
-                for y in range(l1 + 1):
-                    for z in range(l2 + 1):
-                        yield (x, y, z)
-            return
-        yield from itertools.product(*(range(c + 1) for c in lam))
-
     def _convolution(self, lam: tuple[int, ...]) -> int:
         """Right-hand side, scaled by denom**2; pairs are halved by symmetry."""
         cnum = self._cnum
         total = 0
-        for mu in self._box(lam):
+        for mu in itertools.product(*(range(c + 1) for c in lam)):
             a = cnum.get(mu)
             if not a:
                 continue
@@ -141,7 +129,7 @@ class MultiplicityTable:
         self._grow_denominator(sum(lam))
         # lexicographic fill of the box visits every componentwise-smaller
         # weight first, which is all a cell depends on
-        for mu in self._box(lam):
+        for mu in itertools.product(*(range(c + 1) for c in lam)):
             if any(mu) and mu not in self._mult:
                 self._cell(mu)
 

