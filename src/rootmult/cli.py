@@ -16,7 +16,7 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import IO, Iterator
 
 from .formula import FormulaParams, Variant, closed_form_dim
@@ -63,14 +63,16 @@ class ComparisonRow:
     quotient: int | str
     agree_guarded_peterson: bool | str
 
+    # vars() holds the fields in declaration order; astuple and asdict would
+    # deep-copy every field of every row
     def csv_line(self) -> str:
         return ",".join(
             ("true" if v else "false") if isinstance(v, bool) else str(v)
-            for v in astuple(self)
+            for v in vars(self).values()
         )
 
     def json_line(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(vars(self))
 
 
 CSV_HEADER = ",".join(f.name for f in fields(ComparisonRow))
@@ -250,6 +252,10 @@ def compare_rows(
     algebra = rank3_chain(a1, a2)
     table = MultiplicityTable(algebra)
     engine = SerreQuotient(algebra, height_cap=height_cap)
+    if hi:
+        # every grid weight lies in the box below (hi, hi, hi): fill it in
+        # one walk rather than re-walking a box per grid weight
+        table.multiplicity((hi, hi, hi))
     for weight in itertools.product(range(lo, hi + 1), repeat=3):
         if any(weight):
             yield _compare_row(a1, a2, weight, table, engine)

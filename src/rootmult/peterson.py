@@ -20,11 +20,20 @@ is strictly negative for every non-simple root.  The recurrence therefore
 reports multiplicity 0 there, after checking that the right-hand side
 vanishes as consistency demands; a nonzero right-hand side would mean the
 implementation is broken and raises rather than guessing.
+
+Most cells skip the convolution.  Multiplicities are Weyl-invariant (Kac,
+*Infinite-dimensional Lie algebras*, Prop. 5.1), and for a weight lam with
+p = (lam, alpha_i) > 0 the reflection s_i lam = lam - p alpha_i is a lower
+weight, already filled.  So mult(lam) = mult(s_i lam), or 0 when s_i lam
+has a negative coefficient, and c_lam follows from it and the divisor
+terms.  Only cells with (lam, alpha_i) <= 0 for every i, and the cells with
+a vanishing left factor, run the convolution.  The singular cells keep it
+even when a reflection is available: their zero right-hand side is the
+recurrence's one in-program consistency check.
 """
 from __future__ import annotations
 
 import itertools
-import threading
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -42,8 +51,10 @@ class MultiplicityTable:
     Internally c-values are stored as integer numerators over one shared
     denominator (the lcm of 1..H for the largest height H seen), so the
     convolution runs on plain integers; every division is checked exact.
-    A table is bound to one algebra and guarded by a lock, so it may be
-    shared across threads; fresh tables give identical values.
+    A cell of height >= 2 with a nonzero left factor and (lam, alpha_i) > 0
+    for some i takes its multiplicity from s_i lam, for the first such i;
+    every other cell solves the recurrence.  A table is bound to one
+    algebra; fresh tables give identical values.
     """
 
     def __init__(self, A: GeneralizedCartanMatrix) -> None:
@@ -53,7 +64,6 @@ class MultiplicityTable:
         self._mult: dict[tuple[int, ...], int] = {}
         self._cnum: dict[tuple[int, ...], int] = {}
         self._denom = 1
-        self._lock = threading.RLock()
         self._pairing = A.form
 
     def _grow_denominator(self, height: int) -> None:
@@ -101,6 +111,16 @@ class MultiplicityTable:
                 continue
             divisor_part += self._mult[tuple(c // k for c in lam)] * (denom // k)
         lead = self._pairing(lam, lam) - 2 * height
+        if lead:
+            # s_i lam = lam - (lam, alpha_i) alpha_i lowers coefficient i only
+            for i, row in enumerate(self.algebra.entries):
+                p = sum(a * c for a, c in zip(row, lam))
+                if p > 0:
+                    low = lam[i] - p
+                    mult = self._mult[lam[:i] + (low,) + lam[i + 1 :]] if low >= 0 else 0
+                    self._mult[lam] = mult
+                    self._cnum[lam] = divisor_part + mult * denom
+                    return
         rhs = self._convolution(lam)
         if lead == 0:
             if rhs != 0:
@@ -136,18 +156,15 @@ class MultiplicityTable:
     def multiplicity(self, lam: WeightVector | Sequence[int]) -> int:
         """mult(lam); 0 for weights that are not roots."""
         lam = query_weight(self.algebra, lam)
-        with self._lock:
-            self._ensure(lam.coeffs)
-            return self._mult[lam.coeffs]
+        self._ensure(lam.coeffs)
+        return self._mult[lam.coeffs]
 
     def c_value(self, lam: WeightVector | Sequence[int]) -> Fraction:
         """The auxiliary c_lam = sum over k dividing lam of mult(lam/k)/k."""
         lam = query_weight(self.algebra, lam)
-        with self._lock:
-            self._ensure(lam.coeffs)
-            return Fraction(self._cnum[lam.coeffs], self._denom)
+        self._ensure(lam.coeffs)
+        return Fraction(self._cnum[lam.coeffs], self._denom)
 
     def computed(self) -> dict[WeightVector, int]:
         """Snapshot of every memoized multiplicity."""
-        with self._lock:
-            return {WeightVector(w): m for w, m in self._mult.items()}
+        return {WeightVector(w): m for w, m in self._mult.items()}

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -128,9 +127,6 @@ class SerreQuotient:
     arithmetic is in the integers, with explicit denominators; results are
     exact.  Every entry point refuses a weight above ``height_cap`` with
     ``OracleScaleError`` before it builds anything.
-
-    Instances are safe to share across threads: a lock serializes space
-    construction, and cached values are immutable afterwards.
     """
 
     def __init__(
@@ -154,7 +150,6 @@ class SerreQuotient:
             simple = zero[:i] + (1,) + zero[i + 1 :]
             blocks = [(i, k) for k in range(r)]
             self._spaces[simple] = _Space(1, blocks, [{i: -1}], 1, {i: raising})
-        self._lock = threading.RLock()
 
     def scale_error(self, lam: WeightVector) -> OracleScaleError:
         return OracleScaleError(
@@ -249,16 +244,14 @@ class SerreQuotient:
         """Dimension of the graded slice of the relation ideal at ``lam``."""
         lam = query_weight(self.algebra, lam)
         self._check_height(lam)
-        with self._lock:
-            mult = self._space(lam.coeffs).dim
+        mult = self._space(lam.coeffs).dim
         return free_lie_dim(lam) - mult
 
     def multiplicity(self, lam: WeightVector | Sequence[int]) -> int:
         """dim g_lam, checked against the free Lie dimension it is a quotient of."""
         lam = query_weight(self.algebra, lam)
         self._check_height(lam)
-        with self._lock:
-            mult = self._space(lam.coeffs).dim
+        mult = self._space(lam.coeffs).dim
         if free_lie_dim(lam) - mult < 0:
             raise ArithmeticError(f"root space larger than the free Lie component at {lam.coeffs}")
         return mult
@@ -282,9 +275,8 @@ class SerreQuotient:
                 raise ValueError(f"tuple {t} has multidegree {degree}, expected {lam.coeffs}")
         if not family:
             return 0
-        with self._lock:
-            self._space(lam.coeffs)
-            rows = [self._evaluate(t)[0] for t in family]
+        self._space(lam.coeffs)
+        rows = [self._evaluate(t)[0] for t in family]
         return matrix_rank(rows)
 
     def in_ideal(self, lam: WeightVector | Sequence[int], poly: NcPolynomial) -> bool:
@@ -307,10 +299,9 @@ class SerreQuotient:
         if expand_combination(combo) != NcPolynomial({w: n * c for w, c in poly.coeffs.items()}):
             return False
         total: dict[int, Fraction] = {}
-        with self._lock:
-            self._space(lam.coeffs)
-            for t, c in combo.coeffs.items():
-                vec, den = self._evaluate(t)
-                for m, v in vec.items():
-                    total[m] = total.get(m, 0) + Fraction(c * v, den)
+        self._space(lam.coeffs)
+        for t, c in combo.coeffs.items():
+            vec, den = self._evaluate(t)
+            for m, v in vec.items():
+                total[m] = total.get(m, 0) + Fraction(c * v, den)
         return not any(total.values())

@@ -222,6 +222,11 @@ def test_compare_report_matches_stored_bytes():
     rows = [json.loads(line) for line in out.splitlines()]
     assert len(rows) == 3**3
     assert all(list(row) == cli.CSV_HEADER.split(",") for row in rows)
+    # the benchmark's full report
+    stored = reference / "compare-grid-full.csv"
+    code, out = run("compare", "--gcm", "1,2", "--range", "1..6", "--height-cap", "8")
+    assert code == 0
+    assert out == stored.read_text(encoding="utf-8")
 
 
 def test_compare_marks_small_coefficients_na():

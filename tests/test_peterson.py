@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -96,15 +95,6 @@ def test_validation(chain12):
         table.multiplicity((1, 1))
     with pytest.raises(ValueError):
         MultiplicityTable(GeneralizedCartanMatrix(((2, -1), (-2, 2))))
-
-
-def test_shared_table_under_threads_matches_fresh(chain12):
-    shared = MultiplicityTable(chain12)
-    weights = list(weights_of_height(7))
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        shared_values = list(pool.map(shared.multiplicity, weights))
-    fresh = MultiplicityTable(chain12)
-    assert shared_values == [fresh.multiplicity(w) for w in weights]
 
 
 def test_other_ranks(chain12):
@@ -204,3 +194,27 @@ def test_weyl_invariance(chain_tables, chain, weight, i):
     reflected[i] -= table.algebra.form(weight, [int(j == i) for j in range(3)])
     expected = 0 if min(reflected) < 0 else table.multiplicity(tuple(reflected))
     assert table.multiplicity(weight) == expected
+
+
+@pytest.mark.parametrize("chain", [(1, 2), (2, 2), (1, 3), (2, 3)])
+def test_reflected_cells_keep_the_peterson_identity(chain):
+    # a cell with a nonzero left factor and some (lam, alpha_i) > 0 takes its
+    # multiplicity from s_i lam and skips the convolution; its c-value must
+    # still solve ((lam, lam) - 2 ht(lam)) c_lam = sum (mu, nu) c_mu c_nu
+    A = rank3_chain(*chain)
+    table = MultiplicityTable(A)
+    for lam in weights_of_height(12):
+        if sum(lam) == 12:
+            table.multiplicity(lam)
+    simples = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    reflected = convolved = 0
+    for lam, cnum in table._cnum.items():
+        if sum(lam) < 2:
+            continue
+        lead = A.form(lam, lam) - 2 * sum(lam)
+        if lead and any(A.form(lam, s) > 0 for s in simples):
+            reflected += 1
+            assert table._convolution(lam) == table._denom * lead * cnum, lam
+        else:
+            convolved += 1
+    assert reflected > convolved

@@ -263,17 +263,6 @@ def test_chain_reversal(chain_engines, chain, weight):
     )
 
 
-def test_shared_engine_under_threads_matches_fresh(chain12):
-    from concurrent.futures import ThreadPoolExecutor
-
-    shared = SerreQuotient(chain12)
-    weights = list(weights_of_height(6))
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        shared_values = list(pool.map(shared.multiplicity, weights))
-    fresh = SerreQuotient(chain12)
-    assert shared_values == [fresh.multiplicity(w) for w in weights]
-
-
 # ---------------------------------------------------------------------------
 # swap behavior of adjacent entries
 # ---------------------------------------------------------------------------
