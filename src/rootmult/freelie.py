@@ -3,7 +3,7 @@ the left-normed rewriter, and multigraded dimension counts.
 
 Everything here is an identity of the free Lie algebra on generators
 e_1..e_r; no defining relations of any particular algebra are applied.
-Relations belong to :mod:`rootmult.serre`.
+The quotient by an algebra's defining relations is :mod:`rootmult.serre`.
 """
 from __future__ import annotations
 
@@ -197,24 +197,6 @@ class NcPolynomial:
         """Terms ordered length-first, then lexicographically."""
         return sorted(self.coeffs.items(), key=lambda t: (len(t[0]), t[0]))
 
-    def multidegree(self, rank: int) -> WeightVector:
-        """Common multidegree of all words.
-
-        Raises if the words disagree or a word has a generator index
-        outside 1..rank.
-        """
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no multidegree")
-        degrees = set()
-        for w in self.coeffs:
-            degree = tuple(w.count(i + 1) for i in range(rank))
-            if sum(degree) != len(w):
-                raise ValueError(f"word {list(w)} has a generator index outside 1..{rank}")
-            degrees.add(degree)
-        if len(degrees) != 1:
-            raise ValueError("words of mixed multidegree")
-        return WeightVector(degrees.pop())
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -287,21 +269,6 @@ def expand_tensor(x: BracketExpr) -> NcPolynomial:
     return result
 
 
-def tuple_to_expr(t: StandardTuple) -> BracketExpr:
-    """Right-nested bracket expression equivalent to a standard tuple."""
-    if not t:
-        raise ValueError("empty standard tuple")
-    expr: BracketExpr = Leaf(t[-1])
-    for a in reversed(t[:-1]):
-        expr = Node(Leaf(a), expr)
-    return expr
-
-
-def expand_standard_tuple(t: StandardTuple) -> NcPolynomial:
-    """Tensor expansion of the left-normed bracket encoded by ``t``."""
-    return _expand_tuples({t: 1})
-
-
 def _expand_tuples(coeffs: Mapping[StandardTuple, int]) -> NcPolynomial:
     """The sum of k * (expansion of t) over ``coeffs``, all tuples of one length.
 
@@ -359,22 +326,11 @@ class LieCombination:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __neg__(self) -> "LieCombination":
-        out = LieCombination()
-        out.coeffs = {t: -c for t, c in self.coeffs.items()}
-        return out
-
     def terms(self) -> list[tuple[StandardTuple, int]]:
         return sorted(self.coeffs.items())
 
     def tuples(self) -> list[StandardTuple]:
         return sorted(self.coeffs)
-
-    def multidegree(self, rank: int) -> WeightVector:
-        if not self.coeffs:
-            raise ValueError("zero combination has no multidegree")
-        t = next(iter(self.coeffs))
-        return WeightVector(tuple(t.count(i + 1) for i in range(rank)))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -412,15 +368,7 @@ def _bracket_tuples(
         raise ValueError(f"rewrite takes more than {MAX_REWRITE_STEPS} bracket steps")
     if s == t:
         return
-    if len(s) == 1 and len(t) == 1:
-        key = s + t
-        v = out.get(key, 0) + sign
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-        return
-    if (len(s), s) > (len(t), t):
+    if len(s) > 1 and (len(s), s) > (len(t), t):
         _bracket_tuples(t, s, out, -sign, steps)
         return
     if len(s) == 1:

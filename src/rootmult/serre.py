@@ -1,4 +1,4 @@
-"""Defining relations and the quotient oracle, built by f-images.
+"""The quotient oracle: root spaces built by f-images.
 
 The positive part of the Kac-Moody algebra of a symmetric generalized Cartan
 matrix A is the free Lie algebra on e_1..e_r modulo the ideal generated by
@@ -15,26 +15,18 @@ g_{lam - alpha_i}, and their images follow from the spaces below:
 
     [f_j, [e_i, y]] = -delta_ij <lam - alpha_i, alpha_i^vee> y + [e_i, [f_j, y]].
 
-The work grows with the multiplicities, not with the number of tensor words,
-and the ideal is measured as the free Lie dimension minus dim g_lam.
+The work grows with the multiplicities, not with the number of tensor words.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .freelie import (
-    BracketExpr,
-    LieCombination,
-    NcPolynomial,
     StandardTuple,
     ad_generator,  # noqa: F401  unused; bench/spans.py traces serre.ad_generator by name
-    expand_combination,
     free_lie_dim,
-    tuple_to_expr,
 )
 from .gcm import GeneralizedCartanMatrix, WeightVector, query_weight
 from .linalg import EchelonBasis, Row, _axpy, _divide, matrix_rank
@@ -44,48 +36,6 @@ DEFAULT_HEIGHT_CAP = 10
 
 class OracleScaleError(RuntimeError):
     """Raised instead of silently truncating when a weight exceeds the height cap."""
-
-
-@dataclass(frozen=True)
-class SerreElement:
-    """One defining relation ad(e_i)^(1-A_ij)(e_j), stored left-normed."""
-
-    source: tuple[int, int]
-    tuple_form: StandardTuple
-    weight: WeightVector
-
-    @property
-    def expression(self) -> BracketExpr:
-        return tuple_to_expr(self.tuple_form)
-
-
-def serre_elements(A: GeneralizedCartanMatrix) -> list[SerreElement]:
-    """Defining relations of A, one per ordered pair (i, j) with i != j.
-
-    When A_ij = 0 the two relations [e_i, e_j] and [e_j, e_i] differ only
-    by sign; only the pair with i < j is kept.
-    """
-    out: list[SerreElement] = []
-    r = A.rank
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            if i == j:
-                continue
-            a_ij = A[i - 1, j - 1]
-            if a_ij == 0 and i > j:
-                continue
-            power = 1 - a_ij
-            coeffs = [0] * r
-            coeffs[i - 1] = power
-            coeffs[j - 1] += 1
-            out.append(
-                SerreElement(
-                    source=(i, j),
-                    tuple_form=(i,) * power + (j,),
-                    weight=WeightVector(tuple(coeffs)),
-                )
-            )
-    return out
 
 
 # A matrix stored as (columns, denominator): column k, divided by the
@@ -240,13 +190,6 @@ class SerreQuotient:
             vec, den = out, den * d
         return vec, den
 
-    def ideal_dim(self, lam: WeightVector | Sequence[int]) -> int:
-        """Dimension of the graded slice of the relation ideal at ``lam``."""
-        lam = query_weight(self.algebra, lam)
-        self._check_height(lam)
-        mult = self._space(lam.coeffs).dim
-        return free_lie_dim(lam) - mult
-
     def multiplicity(self, lam: WeightVector | Sequence[int]) -> int:
         """dim g_lam, checked against the free Lie dimension it is a quotient of."""
         lam = query_weight(self.algebra, lam)
@@ -270,38 +213,14 @@ class SerreQuotient:
         self._check_height(lam)
         rank = self.algebra.rank
         for t in family:
+            for i in t:
+                if not 1 <= i <= rank:
+                    raise ValueError(f"tuple {t}: generator index {i} outside 1..{rank}")
             degree = tuple(t.count(i + 1) for i in range(rank))
-            if degree != lam.coeffs or len(t) != lam.height:
+            if degree != lam.coeffs:
                 raise ValueError(f"tuple {t} has multidegree {degree}, expected {lam.coeffs}")
         if not family:
             return 0
         self._space(lam.coeffs)
         rows = [self._evaluate(t)[0] for t in family]
         return matrix_rank(rows)
-
-    def in_ideal(self, lam: WeightVector | Sequence[int], poly: NcPolynomial) -> bool:
-        """Exact membership of a tensor polynomial in the ideal slice at ``lam``.
-
-        A nonzero ``poly`` must have multidegree ``lam``.  By Dynkin-Specht-Wever,
-        sending each word w to the left-normed bracket of its letters maps a Lie
-        polynomial P of degree n to n*P.  So P is in the ideal when that image
-        is n*P (P is a Lie element) and its value in g_lam is zero.
-        """
-        lam = query_weight(self.algebra, lam)
-        self._check_height(lam)
-        if not poly:
-            return True
-        degree = poly.multidegree(self.algebra.rank)
-        if degree != lam:
-            raise ValueError(f"polynomial has multidegree {degree.coeffs}, expected {lam.coeffs}")
-        combo = LieCombination({tuple(w): c for w, c in poly.coeffs.items()})
-        n = lam.height
-        if expand_combination(combo) != NcPolynomial({w: n * c for w, c in poly.coeffs.items()}):
-            return False
-        total: dict[int, Fraction] = {}
-        self._space(lam.coeffs)
-        for t, c in combo.coeffs.items():
-            vec, den = self._evaluate(t)
-            for m, v in vec.items():
-                total[m] = total.get(m, 0) + Fraction(c * v, den)
-        return not any(total.values())

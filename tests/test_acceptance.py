@@ -28,7 +28,6 @@ from rootmult.cli import CSV_HEADER, main as cli_main
 from rootmult.formula import count_dependent, count_vanishing, stars_and_bars, total_configs
 from rootmult.freelie import (
     expand_combination,
-    expand_standard_tuple,
     expand_tensor,
     standard_tuples_of_weight,
     weight_of,
@@ -42,7 +41,7 @@ from rootmult.tuples import (
     is_trivial_pattern,
 )
 
-from conftest import random_expr
+from conftest import expand_tuple, in_relation_ideal, random_expr
 
 CHAINS = ((1, 1), (1, 2), (2, 2))
 
@@ -77,7 +76,7 @@ def test_ac02_witt_spanning():
     start = time.monotonic()
     checked = 0
     for lam in weights_of_height(7):
-        rows = [expand_standard_tuple(t).coeffs for t in standard_tuples_of_weight(lam)]
+        rows = [expand_tuple(t).coeffs for t in standard_tuples_of_weight(lam)]
         assert matrix_rank(rows) == free_lie_dim(lam), lam
         checked += 1
     elapsed = time.monotonic() - start
@@ -166,8 +165,7 @@ def test_ac07_worked_example_report():
         rhs_poly = rhs_poly + expand_tensor(parse_bracket(term))
 
     free_equal = lhs_poly == rhs_poly
-    engine = SerreQuotient(rank3_chain(1, 2))
-    quotient_equal = engine.in_ideal(lam, lhs_poly - rhs_poly)
+    quotient_equal = in_relation_ideal(rank3_chain(1, 2), lam.coeffs, lhs_poly - rhs_poly)
 
     report(
         "AC-07 REPORT worked six-leaf identity: "
@@ -296,6 +294,28 @@ def test_ac10_rank_sandwich():
     )
     assert not violations, violations[:5]
     assert not short, short[:5]
+
+    # the paper's spanning claim to height 12 on the two chains where it is cheap
+    start = time.monotonic()
+    deep_short = []
+    deep_points = 0
+    for a1, a2 in ((1, 2), (2, 2)):
+        A = rank3_chain(a1, a2)
+        engine = SerreQuotient(A, height_cap=12)
+        for n in itertools.product((2, 3, 4, 5), repeat=3):
+            if sum(n) > 12:
+                continue
+            deep_points += 1
+            check = independent_rank_check(A, FormulaParams(a1, a2, *n), engine)
+            if check.rank_in_quotient != check.oracle_mult:
+                deep_short.append(((a1, a2), n, check))
+    elapsed = time.monotonic() - start
+    status = "PASS" if not deep_short else "FAIL"
+    report(
+        f"AC-10 {status} spanning to height 12 on (1,2) and (2,2): span rank = multiplicity "
+        f"on {deep_points - len(deep_short)} of {deep_points} points, {elapsed:.1f}s"
+    )
+    assert not deep_short, deep_short[:5]
 
 
 def test_ac11_performance_floor():

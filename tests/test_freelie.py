@@ -15,16 +15,14 @@ from rootmult.freelie import (
     NcPolynomial,
     Node,
     expand_combination,
-    expand_standard_tuple,
     expand_tensor,
     format_bracket,
     standard_tuples_of_weight,
-    tuple_to_expr,
     weight_of,
 )
 from rootmult.linalg import matrix_rank
 
-from conftest import random_expr
+from conftest import expand_tuple, random_expr
 
 
 def poly(terms: dict[str, int]) -> NcPolynomial:
@@ -159,21 +157,30 @@ def test_expansion_coefficients_sum_to_zero():
         expansion = expand_tensor(expr)
         assert sum(expansion.coeffs.values()) == 0
         if expansion:  # [x, x] subtrees can collapse the whole expansion
-            assert expansion.multidegree(3) == weight_of(expr, 3)
+            degree = weight_of(expr, 3).coeffs
+            assert all(tuple(w.count(i) for i in (1, 2, 3)) == degree for w in expansion.coeffs)
+
+
+def right_nested(t: tuple[int, ...]):
+    """The bracket tree [e_t1, [e_t2, [... e_tn]]] that the tuple ``t`` encodes."""
+    expr = Leaf(t[-1])
+    for a in reversed(t[:-1]):
+        expr = Node(Leaf(a), expr)
+    return expr
 
 
 def test_expand_standard_tuple_examples():
-    assert expand_standard_tuple((2,)) == poly({"2": 1})
-    assert expand_standard_tuple((1, 2)) == poly({"12": 1, "21": -1})
+    assert expand_tuple((2,)) == poly({"2": 1})
+    assert expand_tuple((1, 2)) == poly({"12": 1, "21": -1})
     # frozen from the expansion of [e2,[e1,e2]]
-    assert expand_standard_tuple((2, 1, 2)) == poly({"212": 2, "122": -1, "221": -1})
+    assert expand_tuple((2, 1, 2)) == poly({"212": 2, "122": -1, "221": -1})
 
 
 def test_expand_standard_tuple_matches_tree_expansion():
     rng = random.Random(31)
     for _ in range(60):
         t = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 7)))
-        assert expand_standard_tuple(t) == expand_tensor(tuple_to_expr(t))
+        assert expand_tuple(t) == expand_tensor(right_nested(t))
 
 
 @st.composite
@@ -212,7 +219,7 @@ def test_expand_combination_is_the_sum_of_its_tuples(drawn):
     reference = NcPolynomial()
     for t, k in combo.coeffs.items():
         reference = reference + NcPolynomial(
-            {w: k * c for w, c in expand_standard_tuple(t).coeffs.items()}
+            {w: k * c for w, c in expand_tuple(t).coeffs.items()}
         )
     assert expand_combination(combo) == reference
     if cancelling:
@@ -225,18 +232,18 @@ def test_expand_empty_combination_is_zero():
 
 def test_expansions_stop_past_the_word_limit(monkeypatch):
     t = (1, 2) * 6
-    words = len(expand_standard_tuple(t).coeffs)
+    words = len(expand_tuple(t).coeffs)
     monkeypatch.setattr(freelie, "MAX_EXPAND_WORDS", words - 1)
     message = f"tensor expansion exceeds {words - 1} words"
     with pytest.raises(ValueError, match=message):
-        expand_standard_tuple(t)
+        expand_tuple(t)
     with pytest.raises(ValueError, match=message):
         expand_combination(LieCombination({t: 1, (2, 1) * 6: -1}))
     with pytest.raises(ValueError, match=message):
-        expand_tensor(tuple_to_expr(t))
+        expand_tensor(right_nested(t))
     # the tree expansion checks 2*|L|*|R| before it forms [L, R]
     monkeypatch.setattr(freelie, "MAX_EXPAND_WORDS", 2 * words)
-    assert expand_tensor(tuple_to_expr(t)) == expand_standard_tuple(t)
+    assert expand_tensor(right_nested(t)) == expand_tuple(t)
 
 
 def test_nc_polynomial_term_order_is_length_then_lex():
@@ -282,7 +289,7 @@ def test_rewriter_antisymmetry():
         forward = to_standard_form(Node(u, v))
         backward = to_standard_form(Node(v, u))
         if u.length + v.length > 2:
-            assert forward == -backward
+            assert forward.coeffs == {t: -c for t, c in backward.coeffs.items()}
         else:
             # generator pairs stay verbatim; negation holds after expansion
             assert expand_combination(forward) == -expand_combination(backward)
@@ -323,8 +330,5 @@ def test_witt_formula_matches_span_rank_small_heights():
                 if not 1 <= n1 + n2 + n3 <= 5:
                     continue
                 lam = (n1, n2, n3)
-                rows = [
-                    expand_standard_tuple(t).coeffs
-                    for t in standard_tuples_of_weight(lam)
-                ]
+                rows = [expand_tuple(t).coeffs for t in standard_tuples_of_weight(lam)]
                 assert matrix_rank(rows) == free_lie_dim(lam), lam

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import importlib
 from pathlib import Path
 
 import rootmult
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 PUBLIC = {
     "rank3_chain",
@@ -45,3 +47,21 @@ def test_public_names():
     assert set(rootmult.__all__) == PUBLIC
     assert len(rootmult.__all__) == len(PUBLIC)
     assert all(hasattr(rootmult, name) for name in PUBLIC)
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # bench/spans.py wraps names where their callers look them up, some of
+    # them otherwise unused (serre's ad_generator import); deleting one from
+    # src/ breaks every traced benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spans = importlib.import_module("spans")
+    originals = [(owner, attr, owner.__dict__.get(attr)) for owner, attr, *_ in spans.traced_names()]
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, fn in originals if fn is None]
+    assert not missing
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert all(owner.__dict__[attr] is not fn for owner, attr, fn in originals)
+    finally:
+        tracer.remove()
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)

@@ -6,19 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootmult import OracleScaleError, SerreQuotient, rank3_chain
-from rootmult.freelie import (
-    Leaf,
-    NcPolynomial,
-    Node,
-    expand_standard_tuple,
-    standard_tuples_of_weight,
-)
+from rootmult import OracleScaleError, SerreQuotient, free_lie_dim, rank3_chain
+from rootmult.freelie import standard_tuples_of_weight
 from rootmult.gcm import GeneralizedCartanMatrix
 from rootmult.linalg import matrix_rank
-from rootmult.serre import serre_elements
 
-from conftest import REVERSIBLE_CHAINS, weights_up_to
+from conftest import (
+    REVERSIBLE_CHAINS,
+    expand_tuple,
+    in_relation_ideal,
+    relation_ideal_rows,
+    serre_relations,
+    tuple_weight,
+    weights_up_to,
+)
 
 
 def weights_of_height(limit: int):
@@ -34,37 +35,33 @@ def weights_of_height(limit: int):
 # ---------------------------------------------------------------------------
 
 def test_relation_weights_for_chain_12(chain12):
-    weights = [e.weight.coeffs for e in serre_elements(chain12)]
+    weights = [tuple_weight(s, 3) for s in serre_relations(chain12)]
     assert sorted(weights) == sorted(
         [(2, 1, 0), (1, 2, 0), (0, 3, 1), (0, 1, 3), (1, 0, 1)]
     )
 
 
 def test_relation_weights_for_chain_11(chain11):
-    weights = [e.weight.coeffs for e in serre_elements(chain11)]
+    weights = [tuple_weight(s, 3) for s in serre_relations(chain11)]
     assert sorted(weights) == sorted(
         [(2, 1, 0), (1, 2, 0), (0, 2, 1), (0, 1, 2), (1, 0, 1)]
     )
 
 
 def test_zero_entry_pair_is_deduplicated(chain12):
-    pairs = [e.source for e in serre_elements(chain12)]
-    assert (1, 3) in pairs and (3, 1) not in pairs
-    el = next(e for e in serre_elements(chain12) if e.source == (1, 3))
-    assert el.tuple_form == (1, 3)
-    assert el.expression == Node(Leaf(1), Leaf(3))
+    relations = serre_relations(chain12)
+    assert (1, 3) in relations and (3, 1) not in relations
 
 
 def test_relation_shape_is_left_normed(chain22):
-    for el in serre_elements(chain22):
-        i, j = el.source
-        power = len(el.tuple_form) - 1
-        assert el.tuple_form == (i,) * power + (j,)
+    for s in serre_relations(chain22):
+        i, j = s[0], s[-1]
+        assert s == (i,) * (1 - chain22[i - 1, j - 1]) + (j,)
 
 
 def test_general_matrix_rank_2():
     A = GeneralizedCartanMatrix(((2, -1), (-1, 2)))
-    weights = {e.weight.coeffs for e in serre_elements(A)}
+    weights = {tuple_weight(s, 2) for s in serre_relations(A)}
     assert weights == {(2, 1), (1, 2)}
 
 
@@ -101,18 +98,6 @@ def test_quotient_requires_a_symmetric_matrix():
 # ideal slices and quotient multiplicities
 # ---------------------------------------------------------------------------
 
-def brute_force_ideal_dim(A: GeneralizedCartanMatrix, lam: tuple[int, ...]) -> int:
-    """Rank of the tensor expansions of [e_i1, [..., [e_ik, s]]] over every relation s."""
-    rows = []
-    for el in serre_elements(A):
-        rest = tuple(c - w for c, w in zip(lam, el.weight.coeffs))
-        if min(rest) < 0:
-            continue
-        for prefix in standard_tuples_of_weight(rest):
-            rows.append(expand_standard_tuple(prefix + el.tuple_form).coeffs)
-    return matrix_rank(rows)
-
-
 @pytest.mark.parametrize("chain", [(1, 2), (2, 2), (1, 3), "A2"], ids=str)
 def test_ideal_dim_matches_the_presentation(chain):
     # the relations generate the ideal the f-image construction quotients by
@@ -124,16 +109,8 @@ def test_ideal_dim_matches_the_presentation(chain):
         weights = list(weights_of_height(6))
     engine = SerreQuotient(A)
     for lam in weights:
-        assert engine.ideal_dim(lam) == brute_force_ideal_dim(A, lam), (chain, lam)
-
-
-def test_ideal_dim_examples(chain12, engine12):
-    assert engine12.ideal_dim((1, 0, 1)) == 1
-    assert engine12.ideal_dim((1, 1, 1)) == 1
-    assert engine12.ideal_dim((2, 1, 0)) == 1
-    # no relation fits under a simple root
-    assert engine12.ideal_dim((1, 0, 0)) == 0
-    assert SerreQuotient(chain12).ideal_dim((1, 1, 1)) == 1
+        ideal_dim = free_lie_dim(lam) - engine.multiplicity(lam)
+        assert ideal_dim == matrix_rank(relation_ideal_rows(A, lam)), (chain, lam)
 
 
 def test_quotient_multiplicity_examples(chain12, chain11, engine12):
@@ -155,10 +132,8 @@ def test_cap_is_loud(chain12):
 
 
 ENTRY_POINTS = {
-    "ideal_dim": lambda engine, lam: engine.ideal_dim(lam),
     "multiplicity": lambda engine, lam: engine.multiplicity(lam),
     "standard_form_rank": lambda engine, lam: engine.standard_form_rank(lam, []),
-    "in_ideal": lambda engine, lam: engine.in_ideal(lam, NcPolynomial()),
 }
 
 
@@ -177,25 +152,6 @@ def test_entry_points_respect_the_height_cap(chain12, entry):
         ENTRY_POINTS[entry](engine, (2, 2, 1))
 
 
-def test_in_ideal_rejects_another_multidegree(engine12):
-    relation = expand_standard_tuple((1, 3))  # [e1, e3] is a defining relation
-    assert engine12.in_ideal((1, 0, 1), relation)
-    with pytest.raises(ValueError, match="multidegree"):
-        engine12.in_ideal((2, 1, 0), relation)
-
-
-def test_in_ideal_needs_a_lie_element(engine12):
-    # e1 e3 + e3 e1 is not a Lie polynomial, though its left-normed brackets cancel
-    assert not engine12.in_ideal((1, 0, 1), NcPolynomial({b"\x01\x03": 1, b"\x03\x01": 1}))
-    assert engine12.in_ideal((1, 0, 1), NcPolynomial({b"\x01\x03": 1, b"\x03\x01": -1}))
-
-
-def test_in_ideal_rejects_generator_above_rank(engine12):
-    # e1 e2 e4 has two letters in range, matching the weight (1, 1, 0) by count
-    with pytest.raises(ValueError, match="outside 1..3"):
-        engine12.in_ideal((1, 1, 0), NcPolynomial({b"\x01\x02\x04": 1}))
-
-
 def test_standard_form_rank_examples(chain12, engine12):
     lam = (1, 1, 1)
     family = list(standard_tuples_of_weight(lam))
@@ -204,13 +160,17 @@ def test_standard_form_rank_examples(chain12, engine12):
     assert SerreQuotient(chain12).standard_form_rank((2, 1, 0), [(1, 1, 2)]) == 0
     with pytest.raises(ValueError):
         engine12.standard_form_rank((1, 1, 1), [(1, 2)])
+    # a letter past the rank is named before the multidegree is compared
+    for lam, t, bad in (((1, 1, 0), (1, 2, 4), 4), ((0, 1, 1), (0, 2, 3), 0)):
+        with pytest.raises(ValueError, match=rf"generator index {bad} outside 1\.\.3"):
+            engine12.standard_form_rank(lam, [t])
 
 
 def test_relations_vanish_in_quotient(chain12, chain22):
     for A in (chain12, chain22):
         engine = SerreQuotient(A)
-        for el in serre_elements(A):
-            assert engine.standard_form_rank(el.weight, [el.tuple_form]) == 0
+        for s in serre_relations(A):
+            assert engine.standard_form_rank(tuple_weight(s, 3), [s]) == 0
 
 
 def test_spanning_matches_quotient_dimension(chain11, chain12, chain22):
@@ -273,7 +233,7 @@ def swap_at(t: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def test_adjacent_one_three_swap_changes_nothing(engine12):
+def test_adjacent_one_three_swap_changes_nothing(chain12, engine12):
     """Swapping adjacent 1,3 leaves the image unchanged: the difference of the
     two expansions is an ideal element, because it factors through [e1, e3].
     The empirical sign is +: the difference, not the sum, lies in the ideal.
@@ -288,15 +248,15 @@ def test_adjacent_one_three_swap_changes_nothing(engine12):
         assert {t[k], t[k + 1]} == {1, 3}
         swapped = swap_at(t, k)
         lam = tuple(t.count(i) for i in (1, 2, 3))
-        diff = expand_standard_tuple(t) - expand_standard_tuple(swapped)
-        total = expand_standard_tuple(t) + expand_standard_tuple(swapped)
-        assert engine12.in_ideal(lam, diff), t
+        diff = expand_tuple(t) - expand_tuple(swapped)
+        total = expand_tuple(t) + expand_tuple(swapped)
+        assert in_relation_ideal(chain12, lam, diff), t
         # rank form of the same statement
         assert engine12.standard_form_rank(lam, [t, swapped]) == engine12.standard_form_rank(
             lam, [t]
         )
         if engine12.standard_form_rank(lam, [t]) == 1:
-            assert not engine12.in_ideal(lam, total), t
+            assert not in_relation_ideal(chain12, lam, total), t
 
 
 def count_right_delimiters(t: tuple[int, ...], k: int) -> int:
