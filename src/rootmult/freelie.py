@@ -7,7 +7,6 @@ The quotient by an algebra's defining relations is :mod:`rootmult.serre`.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterator, Mapping, Sequence, Union
@@ -19,12 +18,15 @@ from .gcm import WeightVector
 StandardTuple = tuple[int, ...]
 
 # deepest bracket nesting parse_bracket accepts; the parser, the rewriter and
-# the tensor expansion all recurse once per level
+# the tensor expansion all recurse once per level (the rewriter's expansion
+# of one tuple recurses once per letter, about 21 deep at MAX_REWRITE_STEPS)
 MAX_BRACKET_DEPTH = 256
 
-# most _bracket_tuples steps one to_standard_form call may take; a balanced
-# bracket tree of depth 4 takes up to about 70,000, while one of depth 5 ran
-# for over a minute before this limit existed
+# most steps one to_standard_form call may be charged; a bracket is charged
+# its worst-case output words, |left| * |right| * 2^(k-1) for children of
+# tuple lengths k and longer, before its pairs run.  The balanced bracket
+# tree of depth 4 in the tests is charged 32,848 and its cancelling sibling
+# 62,032; a depth-5 tree is refused at its root bracket
 MAX_REWRITE_STEPS = 1_000_000
 
 # most words one tensor expansion may hold; the alternating right-nested
@@ -207,9 +209,12 @@ class NcPolynomial:
         return " ".join(parts)
 
 
-def _ad_into(out: dict[bytes, int], i: int, coeffs: Mapping[bytes, int]) -> None:
-    """Accumulate [e_i, p] into ``out``, where ``coeffs`` are the terms of p."""
-    prefix = bytes([i])
+def _ad_into(out: dict, prefix: bytes | StandardTuple, coeffs: Mapping) -> None:
+    """Accumulate [e_i, p] into ``out``, where ``coeffs`` are the terms of p.
+
+    ``prefix`` is the one-letter word e_i in the encoding of p's words:
+    ``bytes([i])`` for byte-string words, ``(i,)`` for tuple words.
+    """
     for w, c in coeffs.items():
         left = prefix + w
         v = out.get(left, 0) + c
@@ -228,7 +233,7 @@ def _ad_into(out: dict[bytes, int], i: int, coeffs: Mapping[bytes, int]) -> None
 def ad_generator(i: int, p: NcPolynomial) -> NcPolynomial:
     """Commutator [e_i, p] in the tensor algebra."""
     result = NcPolynomial()
-    _ad_into(result.coeffs, i, p.coeffs)
+    _ad_into(result.coeffs, bytes([i]), p.coeffs)
     return result
 
 
@@ -296,7 +301,7 @@ def _expand_tuples(coeffs: Mapping[StandardTuple, int]) -> NcPolynomial:
         parents: dict[StandardTuple, dict[bytes, int]] = {}
         for prefix, tails in level.items():
             out = parents.setdefault(prefix[:-1], {})
-            _ad_into(out, prefix[-1], tails)
+            _ad_into(out, bytes(prefix[-1:]), tails)
             _expansion_limit(len(out))
         level = parents
     result.coeffs = level[()]
@@ -340,90 +345,73 @@ class LieCombination:
         )
 
 
-def _bracket_tuples(
-    s: StandardTuple,
-    t: StandardTuple,
-    out: dict[StandardTuple, int],
-    sign: int,
-    steps: Iterator[int],
-) -> None:
-    """Accumulate the left-normed rewriting of [s, t] into ``out``.
-
-    Anticommutativity orients the recursion: [s, s] vanishes, and a pair
-    with s "larger" than t (length, then lexicographic) is flipped with a
-    sign.  A pair of single generators is kept verbatim, since [e_a, e_b]
-    is already the standard tuple (a, b).  The oriented recursion mirrors
-    the defining identities:
-      [e_a, t]            -> (a,) + t
-      [[e_a, e_b], t]     -> (a, b) + t - (b, a) + t
-      [[e_a, s'], t]      -> [e_a, [s', t]] - [s', [(a,) + t]]
-    The orientation makes the output of [u, v] the exact formal negation
-    of the output of [v, u] whenever u, v are not both single generators
-    (for a bare generator pair the negation holds after expansion).  Each
-    step preserves total length, so every produced tuple has length
-    len(s) + len(t).  Each call draws one step from ``steps`` and raises
-    ``ValueError`` past :data:`MAX_REWRITE_STEPS`.
-    """
-    if next(steps) > MAX_REWRITE_STEPS:
-        raise ValueError(f"rewrite takes more than {MAX_REWRITE_STEPS} bracket steps")
-    if s == t:
-        return
-    if len(s) > 1 and (len(s), s) > (len(t), t):
-        _bracket_tuples(t, s, out, -sign, steps)
-        return
-    if len(s) == 1:
-        key = s + t
-        v = out.get(key, 0) + sign
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-        return
-    if len(s) == 2:
-        a, b = s
-        for key in ((a, b) + t, (b, a) + t):
-            v = out.get(key, 0) + sign
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-            sign = -sign
-        return
-    head, rest = s[0], s[1:]
-    inner: dict[StandardTuple, int] = {}
-    _bracket_tuples(rest, t, inner, 1, steps)
-    for tup, c in inner.items():
-        key = (head,) + tup
-        v = out.get(key, 0) + sign * c
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    _bracket_tuples(rest, (head,) + t, out, -sign, steps)
-
-
 def to_standard_form(x: BracketExpr) -> LieCombination:
     """Rewrite an arbitrary bracket expression as a combination of standard tuples.
 
     The result expands to exactly the same tensor polynomial as the input:
-    the rewriting is an identity of the free Lie algebra.  A rewrite that
-    needs more than :data:`MAX_REWRITE_STEPS` steps raises ``ValueError``.
+    the rewriting is an identity of the free Lie algebra.  Each bracket is
+    rewritten from the rewrites of its two children, pair by pair: ad is a
+    Lie homomorphism, so for standard tuples s and t
+
+        [s, t] = sum over the words w of E(s) of E(s)_w * (w + t),
+
+    E(s) being the tensor expansion of s with tuple words, memoized by
+    suffix.  [s, s] vanishes, and a pair with s "larger" than t (length,
+    then lexicographic) is flipped with a sign, so the shorter tuple is
+    expanded and the output of [u, v] is the exact formal negation of that
+    of [v, u], unless both are single generators (then the negation holds
+    after expansion).  Before its pairs run, a bracket is charged
+    |left| * |right| * 2^(k-1), its worst-case output words for children of
+    tuple lengths k and longer; a rewrite charged more than
+    :data:`MAX_REWRITE_STEPS` in all raises ``ValueError``.
     """
+    expansions: dict[StandardTuple, dict[StandardTuple, int]] = {}
+    spent = 0
+
+    def expand(u: StandardTuple) -> dict[StandardTuple, int]:
+        e = expansions.get(u)
+        if e is None:
+            if len(u) == 1:
+                e = {u: 1}
+            else:
+                e = {}
+                _ad_into(e, u[:1], expand(u[1:]))
+            expansions[u] = e
+        return e
+
+    def rewrite(x: BracketExpr) -> dict[StandardTuple, int]:
+        nonlocal spent
+        if isinstance(x, Leaf):
+            return {(x.index,): 1}
+        left = rewrite(x.left)
+        right = rewrite(x.right)
+        if not left or not right:
+            return {}
+        k = min(len(next(iter(left))), len(next(iter(right))))
+        spent += len(left) * len(right) << (k - 1)
+        if spent > MAX_REWRITE_STEPS:
+            raise ValueError(f"rewrite takes more than {MAX_REWRITE_STEPS} bracket steps")
+        out: dict[StandardTuple, int] = {}
+        for s, cs in left.items():
+            for t, ct in right.items():
+                if s == t:
+                    continue
+                if len(s) > 1 and (len(s), s) > (len(t), t):
+                    head, tail, sign = t, s, -cs * ct
+                else:
+                    head, tail, sign = s, t, cs * ct
+                for w, c in expand(head).items():
+                    key = w + tail
+                    v = out.get(key, 0) + sign * c
+                    if v:
+                        out[key] = v
+                    else:
+                        out.pop(key, None)
+        return out
+
     combo = LieCombination()
-    combo.coeffs = _standard_form(x, itertools.count(1))
+    combo.coeffs = rewrite(x)
     return combo
-
-
-def _standard_form(x: BracketExpr, steps: Iterator[int]) -> dict[StandardTuple, int]:
-    if isinstance(x, Leaf):
-        return {(x.index,): 1}
-    left = _standard_form(x.left, steps)
-    right = _standard_form(x.right, steps)
-    out: dict[StandardTuple, int] = {}
-    for s, cs in left.items():
-        for t, ct in right.items():
-            _bracket_tuples(s, t, out, cs * ct, steps)
-    return {t: c for t, c in out.items() if c}
 
 
 def expand_combination(c: LieCombination) -> NcPolynomial:

@@ -29,7 +29,7 @@ from .freelie import (
     free_lie_dim,
 )
 from .gcm import GeneralizedCartanMatrix, WeightVector, query_weight
-from .linalg import EchelonBasis, Row, _axpy, _divide, matrix_rank
+from .linalg import EchelonBasis, Row, _axpy, _divide
 
 DEFAULT_HEIGHT_CAP = 10
 
@@ -208,6 +208,8 @@ class SerreQuotient:
 
         Each tuple t is evaluated as E_{t1} ... E_{t(n-1)} e_{tn} through the
         matrices of [e_i, .]; the result is the rank of those coordinates.
+        The tuples are evaluated one at a time, and the rest are skipped once
+        the rank reaches dim g_lam, which it cannot pass.
         """
         lam = query_weight(self.algebra, lam)
         self._check_height(lam)
@@ -221,6 +223,10 @@ class SerreQuotient:
                 raise ValueError(f"tuple {t} has multidegree {degree}, expected {lam.coeffs}")
         if not family:
             return 0
-        self._space(lam.coeffs)
-        rows = [self._evaluate(t)[0] for t in family]
-        return matrix_rank(rows)
+        dim = self._space(lam.coeffs).dim
+        basis = EchelonBasis()
+        for t in family:
+            if basis.rank == dim:
+                break
+            basis.insert(self._evaluate(t)[0])
+        return basis.rank

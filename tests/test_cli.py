@@ -340,14 +340,18 @@ def test_rewrite_step_limit(capsys):
     code, out = run("rewrite", balanced_bracket(4), "--verify")
     lines = out.splitlines()
     assert (code, len(lines), lines[-1]) == (0, 3769, "VERIFIED")
-    # a depth-4 tree whose rewrite takes about 59,000 steps and cancels to zero
+    # a depth-4 tree whose rewrite is charged 62,032 steps and cancels to zero
     tree = "[[[[e2,e3],[e1,e2]],[[e1,e3],[e1,e2]]],[[[e1,e2],[e1,e3]],[[e2,e1],[e2,e3]]]]"
     assert run("rewrite", tree, "--verify") == (0, "VERIFIED\n")
+    start = time.monotonic()
     code, out = run("rewrite", balanced_bracket(5), "--verify")
+    elapsed = time.monotonic() - start
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert error_lines(capsys) == [
         f"error: rewrite takes more than {MAX_REWRITE_STEPS} bracket steps"
     ]
+    # charged before its pairs run, the root bracket is refused at once
+    assert elapsed < 1.0
 
 
 def alternating_bracket(leaves: int) -> str:

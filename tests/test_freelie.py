@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from math import comb
 
@@ -271,6 +272,27 @@ def test_rewriter_soundness_random_trees():
         expr = random_expr(rng, rng.randint(1, 8))
         combo = to_standard_form(expr)
         assert expand_combination(combo) == expand_tensor(expr)
+
+
+def test_rewriter_output_is_pinned():
+    # digest of the rewrites of 3000 seeded random trees, frozen from the
+    # Jacobi-recursion rewriter that the ad-expansion replaced
+    rng = random.Random(20261018)
+    digest = hashlib.sha1()
+    for _ in range(3000):
+        expr = random_expr(rng, rng.randint(1, 14))
+        digest.update(repr(sorted(to_standard_form(expr).coeffs.items())).encode())
+    assert digest.hexdigest() == "72ce42f84b22a69fcee04f364f8874f37dc26eb9"
+
+
+def test_rewrite_charges_each_bracket_its_worst_case_words(monkeypatch):
+    # [e1,e2] and [e3,e2] are charged 1 each, and the root 1 * 1 * 2^(2-1)
+    expr = parse_bracket("[[e1,e2],[e3,e2]]")
+    monkeypatch.setattr(freelie, "MAX_REWRITE_STEPS", 3)
+    with pytest.raises(ValueError, match="rewrite takes more than 3 bracket steps"):
+        to_standard_form(expr)
+    monkeypatch.setattr(freelie, "MAX_REWRITE_STEPS", 4)
+    assert to_standard_form(expr).coeffs == {(1, 2, 3, 2): 1, (2, 1, 3, 2): -1}
 
 
 def test_rewriter_preserves_length():
