@@ -192,7 +192,7 @@ def _cmd_rewrite(args: argparse.Namespace, out: IO[str]) -> int:
     # both expansions run before anything is printed: either may pass
     # freelie.MAX_EXPAND_WORDS
     verified = args.verify and expand_tensor(expr) == expand_combination(combo)
-    for t, c in combo.terms():
+    for t, c in sorted(combo.items()):
         print(f"{'+' if c > 0 else '-'}{abs(c)}*[{','.join(map(str, t))}]", file=out)
     if args.verify:
         print("VERIFIED" if verified else "MISMATCH", file=out)

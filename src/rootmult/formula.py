@@ -49,10 +49,6 @@ class FormulaParams:
                 "use the recurrence or quotient oracle for smaller coefficients"
             )
 
-    @property
-    def weight(self) -> tuple[int, int, int]:
-        return (self.n1, self.n2, self.n3)
-
 
 class Variant(str, enum.Enum):
     """Published shapes of the dependent-configuration count.
@@ -67,24 +63,16 @@ class Variant(str, enum.Enum):
     GUARDED = "guarded"
 
 
-class Branch(str, enum.Enum):
-    NEITHER = "neither"
-    C1_ONLY = "C1only"
-    BOTH = "both"
-
-
 @dataclass(frozen=True)
 class DimBreakdown:
     """Full accounting of one closed-form evaluation."""
 
     total: int
     dependent: int
-    variant: Variant
     vanishing_first: int
     vanishing_second: int
     first_applied: bool
     second_applied: bool
-    branch: Branch
     dim: int
 
 
@@ -146,22 +134,16 @@ def closed_form_dim(p: FormulaParams, variant: Variant | str = Variant.GUARDED) 
     """Piecewise closed-form dimension: total minus dependent minus vanishing.
 
     The vanishing count for label a_i is subtracted exactly when
-    n2 >= 1 + a_i.  For a1 <= a2 this is the three-branch rule
-    (neither, first only, both); for a1 > a2 the middle branch subtracts
-    the second count instead, exchanging the two roles symmetrically.
+    n2 >= 1 + a_i; ``first_applied`` and ``second_applied`` record the two
+    tests.  Both, one or neither may hold: for a1 <= a2 only the first
+    count applies when 1 + a1 <= n2 < 1 + a2, and for a1 > a2 only the
+    second when 1 + a2 <= n2 < 1 + a1.
     """
-    variant = Variant(variant)
     total = total_configs(p)
     dependent = count_dependent(p, variant)
     v1, v2 = count_vanishing(p)
     first_applied = p.n2 >= 1 + p.a1
     second_applied = p.n2 >= 1 + p.a2
-    if first_applied and second_applied:
-        branch = Branch.BOTH
-    elif first_applied or second_applied:
-        branch = Branch.C1_ONLY
-    else:
-        branch = Branch.NEITHER
     dim = total - dependent
     if first_applied:
         dim -= v1
@@ -170,11 +152,9 @@ def closed_form_dim(p: FormulaParams, variant: Variant | str = Variant.GUARDED) 
     return DimBreakdown(
         total=total,
         dependent=dependent,
-        variant=variant,
         vanishing_first=v1,
         vanishing_second=v2,
         first_applied=first_applied,
         second_applied=second_applied,
-        branch=branch,
         dim=dim,
     )

@@ -1,6 +1,8 @@
 """Free Lie algebra machinery: bracket expressions, tensor-algebra expansion,
 the left-normed rewriter, and multigraded dimension counts.
 
+An element in standard form is a dict from standard tuples to integers.
+
 Everything here is an identity of the free Lie algebra on generators
 e_1..e_r; no defining relations of any particular algebra are applied.
 The quotient by an algebra's defining relations is :mod:`rootmult.serre`.
@@ -274,8 +276,8 @@ def expand_tensor(x: BracketExpr) -> NcPolynomial:
     return result
 
 
-def _expand_tuples(coeffs: Mapping[StandardTuple, int]) -> NcPolynomial:
-    """The sum of k * (expansion of t) over ``coeffs``, all tuples of one length.
+def expand_combination(coeffs: Mapping[StandardTuple, int]) -> NcPolynomial:
+    """Tensor expansion of a combination {standard tuple: integer} of one length.
 
     By linearity, k1*[e_a, u] + k2*[e_a, v] = [e_a, k1*u + k2*v], so the
     tuples are grouped by prefix and every distinct prefix is bracketed
@@ -283,7 +285,8 @@ def _expand_tuples(coeffs: Mapping[StandardTuple, int]) -> NcPolynomial:
     tails are bracketed by the group's last letter into the sum of its
     parent group, and terms cancel before the next bracket.  Working by
     levels rather than by recursion keeps long tuples off the call stack.
-    A sum that passes :data:`MAX_EXPAND_WORDS` raises ``ValueError``.
+    Zero coefficients are skipped.  A sum that passes
+    :data:`MAX_EXPAND_WORDS` raises ``ValueError``.
     """
     result = NcPolynomial()
     if not coeffs:
@@ -296,7 +299,8 @@ def _expand_tuples(coeffs: Mapping[StandardTuple, int]) -> NcPolynomial:
     for t, k in coeffs.items():
         if len(t) != n:
             raise ValueError("standard tuples of mixed length")
-        level.setdefault(t[:-1], {})[bytes(t[-1:])] = k
+        if k:
+            level.setdefault(t[:-1], {})[bytes(t[-1:])] = k
     for _ in range(n - 1):
         parents: dict[StandardTuple, dict[bytes, int]] = {}
         for prefix, tails in level.items():
@@ -304,7 +308,7 @@ def _expand_tuples(coeffs: Mapping[StandardTuple, int]) -> NcPolynomial:
             _ad_into(out, bytes(prefix[-1:]), tails)
             _expansion_limit(len(out))
         level = parents
-    result.coeffs = level[()]
+    result.coeffs = level.get((), {})
     return result
 
 
@@ -312,41 +316,8 @@ def _expand_tuples(coeffs: Mapping[StandardTuple, int]) -> NcPolynomial:
 # rewriting into left-normed form
 # ---------------------------------------------------------------------------
 
-class LieCombination:
-    """Formal integer combination of standard tuples of one common multidegree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[StandardTuple, int] | None = None) -> None:
-        self.coeffs: dict[StandardTuple, int] = {t: c for t, c in (coeffs or {}).items() if c}
-        degrees = {tuple(sorted(t)) for t in self.coeffs}
-        if len(degrees) > 1:
-            raise ValueError("tuples of mixed multidegree in one combination")
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LieCombination):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def terms(self) -> list[tuple[StandardTuple, int]]:
-        return sorted(self.coeffs.items())
-
-    def tuples(self) -> list[StandardTuple]:
-        return sorted(self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " ".join(
-            f"{'+' if c > 0 else '-'}{abs(c)}*[{','.join(map(str, t))}]" for t, c in self.terms()
-        )
-
-
-def to_standard_form(x: BracketExpr) -> LieCombination:
-    """Rewrite an arbitrary bracket expression as a combination of standard tuples.
+def to_standard_form(x: BracketExpr) -> dict[StandardTuple, int]:
+    """Rewrite a bracket expression as a dict {standard tuple: nonzero integer}.
 
     The result expands to exactly the same tensor polynomial as the input:
     the rewriting is an identity of the free Lie algebra.  Each bracket is
@@ -409,19 +380,7 @@ def to_standard_form(x: BracketExpr) -> LieCombination:
                         out.pop(key, None)
         return out
 
-    combo = LieCombination()
-    combo.coeffs = rewrite(x)
-    return combo
-
-
-def expand_combination(c: LieCombination) -> NcPolynomial:
-    """Tensor expansion of a formal combination of standard tuples.
-
-    Tuples that share a prefix share its brackets: the combination is
-    summed under each distinct prefix before that prefix is expanded (see
-    :func:`_expand_tuples`), instead of expanding every tuple on its own.
-    """
-    return _expand_tuples(c.coeffs)
+    return rewrite(x)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .freelie import (
     StandardTuple,
@@ -202,18 +202,20 @@ class SerreQuotient:
     def standard_form_rank(
         self,
         lam: WeightVector | Sequence[int],
-        family: Sequence[StandardTuple],
+        family: Iterable[StandardTuple],
     ) -> int:
         """Dimension of the span of the given standard tuples inside g_lam.
 
         Each tuple t is evaluated as E_{t1} ... E_{t(n-1)} e_{tn} through the
         matrices of [e_i, .]; the result is the rank of those coordinates.
-        The tuples are evaluated one at a time, and the rest are skipped once
-        the rank reaches dim g_lam, which it cannot pass.
+        The family may be any iterable; it is read once.  The tuples are
+        evaluated one at a time, and the rest are skipped once the rank
+        reaches dim g_lam, which it cannot pass.
         """
         lam = query_weight(self.algebra, lam)
         self._check_height(lam)
         rank = self.algebra.rank
+        family = tuple(family)
         for t in family:
             for i in t:
                 if not 1 <= i <= rank:

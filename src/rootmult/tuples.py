@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .formula import FormulaParams, Variant, count_dependent, stars_and_bars, total_configs
 from .freelie import StandardTuple
-from .gcm import GeneralizedCartanMatrix, WeightVector
+from .gcm import GeneralizedCartanMatrix, WeightVector, rank3_chain
 from .peterson import MultiplicityTable
 from .serre import SerreQuotient
 
@@ -176,10 +176,16 @@ def independent_rank_check(
     of their span in the root space built by the quotient oracle.  The
     multiplicity comes from the Peterson recurrence, so comparing the two
     compares independent oracles.  The three numbers are returned for
-    reporting; the rank can never exceed the multiplicity.
+    reporting; the rank can never exceed the multiplicity.  ``A`` and
+    ``engine.algebra`` must both have the entries of the chain (p.a1, p.a2);
+    otherwise ``ValueError`` is raised.
     """
+    if A.entries != rank3_chain(p.a1, p.a2).entries:
+        raise ValueError(f"matrix {A.entries} is not the chain ({p.a1}, {p.a2})")
     if engine is None:
         engine = SerreQuotient(A)
+    elif engine.algebra.entries != A.entries:
+        raise ValueError(f"engine is built on {engine.algebra.entries}, not on {A.entries}")
     lam = WeightVector((p.n1, p.n2, p.n3))
     if lam.height > engine.height_cap:
         raise engine.scale_error(lam)

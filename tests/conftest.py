@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rootmult import SerreQuotient, rank3_chain
 from rootmult.freelie import (
     Leaf,
-    LieCombination,
     NcPolynomial,
     Node,
     expand_combination,
@@ -60,7 +59,7 @@ def weights_up_to(height: int):
 
 def expand_tuple(t: tuple[int, ...]) -> NcPolynomial:
     """Tensor expansion of the left-normed bracket encoded by ``t``."""
-    return expand_combination(LieCombination({t: 1}))
+    return expand_combination({t: 1})
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_ac01_rewriter_soundness():
         expr = random_expr(rng, rng.randint(1, 8), rank=3)
         combo = to_standard_form(expr)
         assert expand_combination(combo) == expand_tensor(expr), expr
-        for t in combo.tuples():
+        for t in combo:
             assert len(t) == expr.length
     elapsed = time.monotonic() - start
     report(f"AC-01 PASS rewriter soundness: 200 random expressions, {elapsed:.2f}s")

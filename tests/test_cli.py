@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +14,14 @@ import pytest
 
 import rootmult.cli as cli
 from rootmult import OracleScaleError, RecurrenceError
-from rootmult.freelie import MAX_BRACKET_DEPTH, MAX_EXPAND_WORDS, MAX_REWRITE_STEPS
+from rootmult.freelie import (
+    MAX_BRACKET_DEPTH,
+    MAX_EXPAND_WORDS,
+    MAX_REWRITE_STEPS,
+    format_bracket,
+)
+
+from conftest import random_expr
 
 
 def run(*argv: str) -> tuple[int, str]:
@@ -132,6 +141,18 @@ def test_rewrite():
     code, out = run("rewrite", "[[e1,e2],[e3,e2]]", "--verify")
     assert code == 0
     assert out == "+1*[1,2,3,2]\n-1*[2,1,3,2]\nVERIFIED\n"
+
+
+def test_rewrite_verify_output_is_pinned():
+    # digest of the rewrite --verify stdout of 300 seeded random trees
+    rng = random.Random(20261019)
+    digest = hashlib.sha1()
+    for _ in range(300):
+        expr = random_expr(rng, rng.randint(1, 12))
+        code, out = run("rewrite", format_bracket(expr), "--verify")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == "c006b903b28296ace229185722f96dda502e2baf"
 
 
 def test_rewrite_rejects_generator_out_of_range(capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from rootmult import FormulaParams, Variant, closed_form_dim
 from rootmult.formula import (
-    Branch,
     binomial,
     count_dependent,
     count_vanishing,
@@ -76,7 +75,7 @@ def test_count_vanishing_examples():
 def test_closed_form_dim_showcase():
     b = closed_form_dim(params((1, 2), (2, 2, 2)), Variant.GUARDED)
     assert (b.total, b.dependent, b.vanishing_first, b.vanishing_second) == (5, 1, 1, 0)
-    assert b.branch is Branch.C1_ONLY
+    assert (b.first_applied, b.second_applied) == (True, False)
     assert b.dim == 3
     assert closed_form_dim(params((1, 2), (2, 2, 2)), Variant.SECTION44).dim == 1
     assert closed_form_dim(params((1, 2), (2, 2, 2)), Variant.LEMMA410).dim == 2
@@ -85,18 +84,19 @@ def test_closed_form_dim_showcase():
         b = closed_form_dim(params((2, 2), (2, 3, 2)), v)
         assert (b.total, b.dependent) == (27, 6)
         assert (b.vanishing_first, b.vanishing_second) == (1, 1)
-        assert b.branch is Branch.BOTH
+        assert (b.first_applied, b.second_applied) == (True, True)
         assert b.dim == 19
 
 
 def test_branches_follow_the_label_thresholds():
     # a1 = 1, a2 = 3: thresholds n2 >= 2 and n2 >= 4
-    for n2, branch in ((2, Branch.C1_ONLY), (3, Branch.C1_ONLY), (4, Branch.BOTH)):
+    for n2, applied in ((2, (True, False)), (3, (True, False)), (4, (True, True))):
         b = closed_form_dim(FormulaParams(1, 3, 2, n2, 2))
-        assert b.branch is branch
+        assert (b.first_applied, b.second_applied) == applied
     # a1 = a2 = 3: single threshold at n2 >= 4
-    assert closed_form_dim(FormulaParams(3, 3, 2, 3, 2)).branch is Branch.NEITHER
-    assert closed_form_dim(FormulaParams(3, 3, 2, 4, 2)).branch is Branch.BOTH
+    for n2, applied in ((3, (False, False)), (4, (True, True))):
+        b = closed_form_dim(FormulaParams(3, 3, 2, n2, 2))
+        assert (b.first_applied, b.second_applied) == applied
 
 
 def test_swapped_labels_mirror_for_symmetric_variants():
@@ -117,8 +117,7 @@ def test_swapped_labels_mirror_for_symmetric_variants():
 def test_middle_branch_subtracts_the_smaller_label_count():
     # a1 > a2: for a2 + 1 <= n2 < a1 + 1 only the second count applies
     b = closed_form_dim(FormulaParams(3, 1, 2, 2, 2))
-    assert b.branch is Branch.C1_ONLY
-    assert not b.first_applied and b.second_applied
+    assert (b.first_applied, b.second_applied) == (False, True)
     assert b.dim == b.total - b.dependent - b.vanishing_second
 
 

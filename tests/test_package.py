@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import importlib
+import io
 from pathlib import Path
 
 import rootmult
+import rootmult.cli as cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -65,3 +67,23 @@ def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     finally:
         tracer.remove()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
+
+
+def test_benchmark_tracer_counts_words_configs_and_bytes(monkeypatch):
+    # the per-layer counters read results: the words of an expansion, the raw
+    # configurations of a canonical count and the bytes a command printed
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        for argv in (
+            ["rewrite", "[[e1,e2],[e3,e2]]", "--verify"],
+            ["compare", "--gcm", "1,2", "--range", "1..3", "--height-cap", "6"],
+        ):
+            assert cli.main(argv, io.StringIO()) == 0
+    finally:
+        tracer.remove()
+    metrics = spans.layer_metrics(tracer.spans)
+    for name in ("freelie.words_out", "tuples.configs", "cli.bytes_out"):
+        assert metrics[name] > 0, name

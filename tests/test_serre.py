@@ -166,6 +166,14 @@ def test_standard_form_rank_examples(chain12, engine12):
             engine12.standard_form_rank(lam, [t])
 
 
+def test_standard_form_rank_reads_any_iterable_once(engine12):
+    lam = (2, 3, 2)
+    family = list(standard_tuples_of_weight(lam))
+    assert engine12.multiplicity(lam) == 2
+    for given in (family, standard_tuples_of_weight(lam), iter(family)):
+        assert engine12.standard_form_rank(lam, given) == 2
+
+
 def test_relations_vanish_in_quotient(chain12, chain22):
     for A in (chain12, chain22):
         engine = SerreQuotient(A)

@@ -161,6 +161,16 @@ def test_rank_check_takes_the_multiplicity_from_the_recurrence(chain12, monkeypa
     assert check.rank_in_quotient == check.oracle_mult
 
 
+def test_rank_check_rejects_another_algebra(chain12, chain22):
+    p = params((2, 2), (2, 3, 2))
+    with pytest.raises(ValueError, match=r"is not the chain \(2, 2\)"):
+        independent_rank_check(chain12, p, SerreQuotient(chain22))
+    with pytest.raises(ValueError, match="engine is built on"):
+        independent_rank_check(chain22, p, SerreQuotient(chain12))
+    check = independent_rank_check(chain22, p, SerreQuotient(chain22))
+    assert check.rank_in_quotient == check.oracle_mult == 10
+
+
 def test_rank_check_respects_cap(chain12):
     engine = SerreQuotient(chain12, height_cap=5)
     with pytest.raises(OracleScaleError):
