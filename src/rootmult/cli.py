@@ -168,6 +168,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_value(weight: tuple[int, ...], value: int, out: IO[str]) -> None:
+    """Print ``value``, or raise OverflowError (exit 3) past the interpreter's digit limit.
+
+    The limit is ``sys.get_int_max_str_digits()``; the error names it and leaves it as it is.
+    """
+    try:
+        text = str(value)
+    except ValueError:
+        # a string conversion would be refused, so count the digits from the bit length
+        digits = value.bit_length() * 30103 // 100000 + 1
+        while 10 ** (digits - 1) > abs(value):
+            digits -= 1
+        raise OverflowError(
+            f"the value at weight {weight} has {digits} decimal digits, over the "
+            f"interpreter's limit of {sys.get_int_max_str_digits()} digits for printing "
+            f"an integer (sys.get_int_max_str_digits())"
+        ) from None
+    print(text, file=out)
+
+
 def _cmd_mult(args: argparse.Namespace, out: IO[str]) -> int:
     algebra = rank3_chain(*args.gcm)
     weight = query_weight(algebra, args.weight)
@@ -181,7 +201,7 @@ def _cmd_mult(args: argparse.Namespace, out: IO[str]) -> int:
             value = closed_form_dim(params, args.variant).dim
         else:
             value = count_canonical(params).canonical
-    print(value, file=out)
+    _print_value(weight.coeffs, value, out)
     return EXIT_OK
 
 
@@ -292,7 +312,7 @@ def _cmd_compare(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_witt(args: argparse.Namespace, out: IO[str]) -> int:
-    print(free_lie_dim(args.weight), file=out)
+    _print_value(args.weight, free_lie_dim(args.weight), out)
     return EXIT_OK
 
 

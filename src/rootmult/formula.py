@@ -79,20 +79,16 @@ class DimBreakdown:
 def total_configs(p: FormulaParams) -> int:
     """Count all admissible interval configurations.
 
-    Sums, over first-interval contents (i, j) with 0 <= i <= a1,
-    0 <= j <= a2, (i, j) != (0, 0), the ways to spread the remaining
-    balls over the other n2 - 1 intervals.
+    Sums, over first-interval contents (i, j) with 0 <= i <= min(a1, n1),
+    0 <= j <= min(a2, n3), (i, j) != (0, 0), the ways to spread the remaining
+    balls over the other n2 - 1 intervals.  Contents past n1 or n3 would
+    leave a negative ball count, a zero binomial, so the sums stop there.
+    The 1s and the 3s spread independently, so the sum over the rectangle
+    is a product of two sums, less the (0, 0) corner.
     """
-    total = 0
-    for i in range(p.a1 + 1):
-        left = binomial(p.n1 + p.n2 - i - 2, p.n2 - 2)
-        if left == 0:
-            continue
-        for j in range(p.a2 + 1):
-            if (i, j) == (0, 0):
-                continue
-            total += left * binomial(p.n2 + p.n3 - j - 2, p.n2 - 2)
-    return total
+    ones = [binomial(p.n1 + p.n2 - i - 2, p.n2 - 2) for i in range(min(p.a1, p.n1) + 1)]
+    threes = [binomial(p.n2 + p.n3 - j - 2, p.n2 - 2) for j in range(min(p.a2, p.n3) + 1)]
+    return sum(ones) * sum(threes) - ones[0] * threes[0]
 
 
 def count_dependent(p: FormulaParams, variant: Variant | str = Variant.GUARDED) -> int:

@@ -7,10 +7,18 @@ For a symmetric generalized Cartan matrix with diagonal 2, the form
     ((lam, lam) - 2 (rho, lam)) * c_lam
         = sum over mu + nu = lam, mu, nu > 0 of (mu, nu) * c_mu * c_nu,
 
-where c_lam = sum over k >= 1 dividing lam of mult(lam / k) / k.  Solving
-for c_lam weight by weight and peeling off the divisor terms recovers the
-multiplicities.  This scales to far greater heights than the tensor
-algebra, at the price of being a recurrence rather than a construction.
+where c_lam = sum over k >= 1 dividing lam of mult(lam / k) / k (Kac,
+*Infinite-dimensional Lie algebras*, Ch. 11).  Solving for c_lam weight by
+weight and peeling off the divisor terms recovers the multiplicities.  This
+scales to far greater heights than the tensor algebra, at the price of
+being a recurrence rather than a construction.
+
+Each cell computes A lam once.  Its entries are the (lam, alpha_i), its dot
+product with lam is (lam, lam), stored for the cell, and every pair of the
+convolution reads (mu, nu) = mu . A lam - (mu, mu).  The pairs (mu, nu) and
+(nu, mu) give the same term, so the convolution visits only mu <= nu in
+lexicographic order, which bounds mu_1 by lam_1 // 2, and counts the
+off-diagonal pairs twice.
 
 The left factor (lam, lam) - 2 ht(lam) vanishes for some weights (for
 instance weight (1, 0, 1) of any chain matrix).  Such a weight is never a
@@ -36,6 +44,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul, sub
 from typing import Sequence
 
 from .gcm import GeneralizedCartanMatrix, WeightVector, query_weight
@@ -63,8 +72,8 @@ class MultiplicityTable:
         self.algebra = A
         self._mult: dict[tuple[int, ...], int] = {}
         self._cnum: dict[tuple[int, ...], int] = {}
+        self._norm: dict[tuple[int, ...], int] = {}  # (lam, lam) of every filled cell
         self._denom = 1
-        self._pairing = A.form
 
     def _grow_denominator(self, height: int) -> None:
         # never shrink: queries can arrive in any height order
@@ -76,45 +85,46 @@ class MultiplicityTable:
         self._denom = target
 
     def _convolution(self, lam: tuple[int, ...]) -> int:
-        """Right-hand side, scaled by denom**2; pairs are halved by symmetry."""
+        """Right-hand side, scaled by denom**2, summed over mu <= lam - mu only."""
         cnum = self._cnum
+        norm = self._norm
+        a_lam = [sum(map(mul, row, lam)) for row in self.algebra.entries]
+        half = (range(lam[0] // 2 + 1),) + tuple(range(c + 1) for c in lam[1:])
         total = 0
-        for mu in itertools.product(*(range(c + 1) for c in lam)):
+        for mu in itertools.product(*half):
             a = cnum.get(mu)
             if not a:
                 continue
-            nu = tuple(l - m for l, m in zip(lam, mu))
+            nu = tuple(map(sub, lam, mu))
             if mu > nu:
-                continue
-            if not any(nu):
                 continue
             b = cnum.get(nu)
             if not b:
                 continue
-            term = self._pairing(mu, nu) * a * b
+            term = (sum(map(mul, mu, a_lam)) - norm[mu]) * a * b
             total += term if mu == nu else 2 * term
         return total
 
     def _cell(self, lam: tuple[int, ...]) -> None:
+        # A lam gives both (lam, alpha_i) = (A lam)_i and (lam, lam) = lam . A lam
+        a_lam = [sum(map(mul, row, lam)) for row in self.algebra.entries]
+        norm = self._norm[lam] = sum(map(mul, lam, a_lam))
         height = sum(lam)
         denom = self._denom
         if height == 1:
             self._mult[lam] = 1
             self._cnum[lam] = denom
             return
-        g = 0
-        for c in lam:
-            g = gcd(g, c)
+        g = gcd(*lam)
         divisor_part = 0  # sum of mult(lam/k)/k for k >= 2, scaled by denom
         for k in range(2, g + 1):
             if g % k:
                 continue
             divisor_part += self._mult[tuple(c // k for c in lam)] * (denom // k)
-        lead = self._pairing(lam, lam) - 2 * height
+        lead = norm - 2 * height
         if lead:
             # s_i lam = lam - (lam, alpha_i) alpha_i lowers coefficient i only
-            for i, row in enumerate(self.algebra.entries):
-                p = sum(a * c for a, c in zip(row, lam))
+            for i, p in enumerate(a_lam):
                 if p > 0:
                     low = lam[i] - p
                     mult = self._mult[lam[:i] + (low,) + lam[i + 1 :]] if low >= 0 else 0

@@ -112,15 +112,22 @@ class SerreQuotient:
             raise self.scale_error(lam)
 
     def _build(self, lam: tuple[int, ...]) -> _Space:
-        """g_lam for height >= 2; every space below it must already be built."""
+        """g_lam for height >= 2; every space below it must already be built.
+
+        When every g_{lam - alpha_j} below lam is zero there is no candidate,
+        and g_lam is stored as the zero space, with empty maps [e_j, .] from
+        each of them, without building blocks or running an elimination.
+        """
         A = self.algebra.entries
         spaces = self._spaces
+        below = {j: spaces[_lower(lam, j)].dim for j, c in enumerate(lam) if c}
+        if not any(below.values()):
+            return _Space(0, [], [], 1, {j: ([], 1) for j in below})
         offsets: dict[int, int] = {}
         blocks: list[tuple[int, int]] = []
-        for j, c in enumerate(lam):
-            if c:
-                offsets[j] = len(blocks)
-                blocks.extend((j, k) for k in range(spaces[_lower(lam, j)].dim))
+        for j, dim in below.items():
+            offsets[j] = len(blocks)
+            blocks.extend((j, k) for k in range(dim))
         rows: list[Row] = []
         sources: list[tuple[int, int, int]] = []  # (i, first row, denominator)
         for i in offsets:
@@ -172,22 +179,33 @@ class SerreQuotient:
                     spaces[mu] = self._build(mu)
         return spaces[coeffs]
 
-    def _evaluate(self, t: StandardTuple) -> tuple[Row, int]:
+    def _evaluate(
+        self,
+        t: StandardTuple,
+        done: dict[StandardTuple, tuple[Row, int]],
+    ) -> tuple[Row, int]:
         """Coordinates of the left-normed bracket ``t`` as (integers, denominator).
 
         The bracket is E_{t1} ... E_{t(n-1)} e_{tn}, applied right to left;
-        every space on the way must already be built.
+        every space on the way must already be built.  ``done`` maps suffixes
+        of earlier tuples to their coordinates: the walk starts from the
+        longest suffix of ``t`` found there and records each suffix it makes.
         """
+        n = len(t)
+        start = next((k for k in range(n - 1) if t[k:] in done), n - 1)
         mu = [0] * self.algebra.rank
-        mu[t[-1] - 1] = 1
-        vec, den = {0: 1}, 1
-        for s in reversed(t[:-1]):
+        for s in t[start:]:
+            mu[s - 1] += 1
+        vec, den = done[t[start:]] if start < n - 1 else ({0: 1}, 1)
+        for k in range(start - 1, -1, -1):
+            s = t[k]
             mu[s - 1] += 1
             cols, d = self._spaces[tuple(mu)].raising[s - 1]
             out: Row = {}
-            for k, v in vec.items():
-                _axpy(out, v, cols[k])
+            for c, v in vec.items():
+                _axpy(out, v, cols[c])
             vec, den = out, den * d
+            done[t[k:]] = vec, den
         return vec, den
 
     def multiplicity(self, lam: WeightVector | Sequence[int]) -> int:
@@ -209,8 +227,9 @@ class SerreQuotient:
         Each tuple t is evaluated as E_{t1} ... E_{t(n-1)} e_{tn} through the
         matrices of [e_i, .]; the result is the rank of those coordinates.
         The family may be any iterable; it is read once.  The tuples are
-        evaluated one at a time, and the rest are skipped once the rank
-        reaches dim g_lam, which it cannot pass.
+        evaluated one at a time, each from the longest suffix it shares with
+        a tuple evaluated before it in the same call, and the rest are skipped
+        once the rank reaches dim g_lam, which it cannot pass.
         """
         lam = query_weight(self.algebra, lam)
         self._check_height(lam)
@@ -227,8 +246,9 @@ class SerreQuotient:
             return 0
         dim = self._space(lam.coeffs).dim
         basis = EchelonBasis()
+        done: dict[StandardTuple, tuple[Row, int]] = {}
         for t in family:
             if basis.rank == dim:
                 break
-            basis.insert(self._evaluate(t)[0])
+            basis.insert(self._evaluate(t, done)[0])
         return basis.rank

@@ -13,13 +13,15 @@ from pathlib import Path
 import pytest
 
 import rootmult.cli as cli
-from rootmult import OracleScaleError, RecurrenceError
+from rootmult import FormulaParams, OracleScaleError, RecurrenceError, closed_form_dim
 from rootmult.freelie import (
     MAX_BRACKET_DEPTH,
     MAX_EXPAND_WORDS,
     MAX_REWRITE_STEPS,
     format_bracket,
+    free_lie_dim,
 )
+from rootmult.tuples import count_canonical
 
 from conftest import random_expr
 
@@ -174,6 +176,37 @@ def test_witt(capsys):
     assert run("witt", "--weight", "1,1,1,1") == (0, "6\n")
     assert run("witt", "--weight", "-1,2") == (cli.EXIT_USAGE, "")
     assert error_lines(capsys) == ["error: negative coefficient in weight (-1, 2)"]
+
+
+def test_values_past_the_digit_limit_exit_3(capsys):
+    # the interpreter refuses to print an int of more than
+    # sys.get_int_max_str_digits() digits; that is a computation limit, not a usage error
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    params = FormulaParams(1, 2, 8000, 8000, 2)
+    for argv, weight, value in (
+        (("witt", "--weight", "8000,8000"), (8000, 8000), free_lie_dim((8000, 8000))),
+        (
+            ("mult", "--gcm", "1,2", "--weight", "8000,8000,2", "--method", "formula"),
+            (8000, 8000, 2),
+            closed_form_dim(params).dim,
+        ),
+        (
+            ("mult", "--gcm", "1,2", "--weight", "8000,8000,2", "--method", "tuples"),
+            (8000, 8000, 2),
+            count_canonical(params).canonical,
+        ),
+    ):
+        assert run(*argv) == (cli.EXIT_COMPUTE, "")
+        [line] = error_lines(capsys)
+        digits = int(line.split(" has ")[1].split()[0])
+        assert digits > limit
+        assert f"weight {weight} " in line
+        assert f"limit of {limit} digits" in line and "sys.get_int_max_str_digits()" in line
+        # the count is exact: the value lies in [10**(digits - 1), 10**digits)
+        assert 10 ** (digits - 1) <= value < 10**digits
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_compare_csv_shape():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
@@ -48,6 +49,18 @@ def test_total_configs_examples():
     assert total_configs(params((1, 2), (2, 2, 2))) == 5
     assert total_configs(params((2, 2), (2, 3, 2))) == 27
     assert total_configs(params((1, 1), (2, 2, 2))) == 3
+
+
+def test_huge_labels_cost_no_more_than_the_weight():
+    # first-interval contents past n1 or n3 are zero binomials, so a label far
+    # above the weight neither changes a count nor lengthens the loop
+    for n in ((2, 2, 2), (3, 4, 2), (5, 3, 4)):
+        start = time.monotonic()
+        huge = params((10**12, 2), n), params((2, 10**12), n), params((10**12, 10**12), n)
+        values = [(total_configs(p), closed_form_dim(p)) for p in huge]
+        assert time.monotonic() - start < 1.0
+        small = params((10**3, 2), n), params((2, 10**3), n), params((10**3, 10**3), n)
+        assert values == [(total_configs(p), closed_form_dim(p)) for p in small]
 
 
 def test_count_dependent_examples():

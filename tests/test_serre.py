@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from rootmult import OracleScaleError, SerreQuotient, free_lie_dim, rank3_chain
 from rootmult.freelie import standard_tuples_of_weight
 from rootmult.gcm import GeneralizedCartanMatrix
 from rootmult.linalg import matrix_rank
+from rootmult.serre import _Space
 
 from conftest import (
     REVERSIBLE_CHAINS,
@@ -209,6 +211,42 @@ def test_rank_is_monotone_in_the_family(engine12):
 def test_quotient_mult_never_negative(engine12):
     for lam in weights_of_height(6):
         assert engine12.multiplicity(lam) >= 0
+
+
+# sha1 of repr of every stored space after filling the box; computed before
+# zero spaces skipped the elimination, so the shortcut stores the same spaces
+PINNED_SPACES = {
+    ((1, 2), (4, 4, 4)): "ade7982881e56cbc2844a55be9f5d94be78a586b",
+    ((1, 2), (6, 1, 3)): "2e78fe3fe63a9c6fd86cc4e9ed27a13fae249f03",
+    ((1, 3), (4, 4, 4)): "1a4042e7ed75b1ec1cc742fc3de9175e6904830c",
+    ((2, 3), (4, 4, 3)): "0c1580bbebe7b6672261a0f9b82ee5d43f0300b6",
+    ((1, 1), (5, 5, 5)): "76b33456f2194b33ebff84b0ff4603c4a8ee4967",
+    ((2, 2), (4, 4, 3)): "d9151e6cea1fe2668e0c5ff3f5bb631ee0ae319f",
+}
+
+
+@pytest.mark.parametrize("chain, box", list(PINNED_SPACES))
+def test_stored_spaces_are_pinned(chain, box):
+    engine = SerreQuotient(rank3_chain(*chain), height_cap=sum(box))
+    engine.multiplicity(box)
+    digest = hashlib.sha1(repr(sorted(engine._spaces.items())).encode()).hexdigest()
+    assert digest == PINNED_SPACES[chain, box]
+
+
+def test_space_over_zero_spaces_is_stored_empty(engine12):
+    # g_(0,0,2) and g_(1,0,1) are zero on (1, 2), so g_(1,0,2) has no candidate
+    assert engine12._space((0, 0, 2)).dim == engine12._space((1, 0, 1)).dim == 0
+    assert engine12._space((1, 0, 2)) == _Space(0, [], [], 1, {0: ([], 1), 2: ([], 1)})
+
+
+def test_shared_suffixes_evaluate_as_fresh_tuples(engine12):
+    lam = (2, 3, 2)
+    engine12.multiplicity(lam)
+    done = {}
+    for t in standard_tuples_of_weight(lam):
+        assert engine12._evaluate(t, done) == engine12._evaluate(t, {}), t
+    # every proper suffix of length >= 2 was recorded on the way
+    assert all(t[k:] in done for t in standard_tuples_of_weight(lam) for k in range(len(t) - 1))
 
 
 @pytest.fixture(scope="module")
