@@ -283,6 +283,26 @@ def test_compare_report_matches_stored_bytes():
     assert out == stored.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    ("gcm", "csv_sha1", "json_sha1"),
+    [
+        ("2,2", "9d0bbf09dd0c3a6eadaba33bc273a2ed7bf2b834", "77fe267887846dcc4d59f4c5036ee8e3e95ada3d"),
+        ("1,3", "d1766843a897d8ec3c2cc4d9ce871c669f09ad14", "7922fd4463046cc3b68c367bb73df88b1f4429bd"),
+        ("2,3", "9121a18f522b225734b6e318e19e507939dc64ea", "ada5dde14d4dd08ec0f68da7226ed24b92f9b54e"),
+        ("3,1", "6e11795dc4a50fff1fa0dfa501ab1732b4c05965", "65755a4d62dfc7b44b596600967398105b918142"),
+        ("3,3", "57c855ec9c75d2fbb187044cd50a756f29364425", "bcbaf2e027239d0e19c1b1e9c94dce5b9cf75fcb"),
+    ],
+)
+def test_compare_report_is_pinned_on_other_chains(gcm, csv_sha1, json_sha1):
+    # a1 >= 2 exercises the guarded ones term, a1 > a2 the middle branch
+    for fmt, expected in (("csv", csv_sha1), ("json", json_sha1)):
+        code, out = run(
+            "compare", "--gcm", gcm, "--range", "1..6", "--height-cap", "8", "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == expected
+
+
 def test_compare_marks_small_coefficients_na():
     code, out = run(
         "compare", "--gcm", "1,2", "--range", "1..2", "--height-cap", "6",
