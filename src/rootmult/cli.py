@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import IO, Iterator
 
-from .formula import FormulaParams, Variant, closed_form_dim
+from .formula import FormulaParams, Variant, closed_form_dim, interval_counts
 from .freelie import (
     expand_combination,
     expand_tensor,
@@ -28,7 +28,7 @@ from .freelie import (
     to_standard_form,
     weight_of,
 )
-from .gcm import WeightVector, query_weight, rank3_chain
+from .gcm import GeneralizedCartanMatrix, WeightVector, query_weight, rank3_chain
 from .peterson import MultiplicityTable, RecurrenceError
 from .serre import DEFAULT_HEIGHT_CAP, OracleScaleError, SerreQuotient
 from .tuples import count_canonical
@@ -188,6 +188,16 @@ def _print_value(weight: tuple[int, ...], value: int, out: IO[str]) -> None:
     print(text, file=out)
 
 
+def _note_finite_type(algebra: GeneralizedCartanMatrix) -> None:
+    """Warn on stderr that the closed-form counts do not cover a finite-type chain."""
+    if algebra.finite_type:
+        print(
+            "note: (a1, a2) = (1, 1) is finite type; the closed-form counts "
+            "assume max(a1, a2) >= 2",
+            file=sys.stderr,
+        )
+
+
 def _cmd_mult(args: argparse.Namespace, out: IO[str]) -> int:
     algebra = rank3_chain(*args.gcm)
     weight = query_weight(algebra, args.weight)
@@ -197,6 +207,7 @@ def _cmd_mult(args: argparse.Namespace, out: IO[str]) -> int:
         value = SerreQuotient(algebra, height_cap=args.height_cap).multiplicity(weight)
     else:
         params = FormulaParams(*args.gcm, *weight.coeffs)
+        _note_finite_type(algebra)
         if args.method == "formula":
             value = closed_form_dim(params, args.variant).dim
         else:
@@ -230,14 +241,19 @@ def _compare_row(
 ) -> ComparisonRow:
     n1, n2, n3 = weight
     lam = WeightVector(weight)
-    formulas: dict[Variant, int | str]
+    section44: int | str
+    lemma410: int | str
+    guarded: int | str
+    canonical: int | str
     if min(weight) >= 2:
-        params = FormulaParams(a1, a2, n1, n2, n3)
-        formulas = {v: closed_form_dim(params, v).dim for v in Variant}
-        canonical: int | str = count_canonical(params).canonical
+        # one evaluation of the interval model serves all four closed-form columns
+        counts = interval_counts(FormulaParams(a1, a2, n1, n2, n3))
+        section44 = counts.dim(Variant.SECTION44)
+        lemma410 = counts.dim(Variant.LEMMA410)
+        guarded = counts.dim(Variant.GUARDED)
+        canonical = counts.canonical
     else:
-        formulas = {v: "n/a" for v in Variant}
-        canonical = "n/a"
+        section44 = lemma410 = guarded = canonical = "n/a"
     mult = table.multiplicity(lam)
     quotient: int | str
     if lam.height <= engine.height_cap:
@@ -249,12 +265,9 @@ def _compare_row(
             )
     else:
         quotient = "skipped"
-    guarded = formulas[Variant.GUARDED]
     agree: bool | str = guarded == mult if isinstance(guarded, int) else "n/a"
     return ComparisonRow(
-        a1, a2, n1, n2, n3,
-        formulas[Variant.SECTION44], formulas[Variant.LEMMA410], guarded,
-        canonical, mult, quotient, agree,
+        a1, a2, n1, n2, n3, section44, lemma410, guarded, canonical, mult, quotient, agree,
     )
 
 
@@ -283,12 +296,7 @@ def compare_rows(
 
 def _cmd_compare(args: argparse.Namespace, out: IO[str]) -> int:
     a1, a2 = args.gcm
-    if rank3_chain(a1, a2).finite_type:
-        print(
-            "note: (a1, a2) = (1, 1) is finite type; the closed-form counts "
-            "assume max(a1, a2) >= 2",
-            file=sys.stderr,
-        )
+    _note_finite_type(rank3_chain(a1, a2))
     lo, hi = args.range
 
     sink = open(args.out, "w", encoding="utf-8") if args.out else out

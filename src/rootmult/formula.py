@@ -2,16 +2,22 @@
 
 The counts live on the interval model of :mod:`rootmult.tuples`: a weight
 (n1, n2, n3) is realized by tuples whose n2 entries "2" delimit intervals
-holding the 1s and 3s.  ``total_configs`` counts the admissible
-configurations, ``count_vanishing`` the ones whose element is zero, and
-``count_dependent`` the ones duplicating another configuration.  The
-piecewise combination of the three is ``closed_form_dim``.
+holding the 1s and 3s.  :func:`interval_counts` evaluates every count of the
+model at one weight, once: the admissible configurations (``total``), the
+ones duplicating another configuration (``dependent``, one shape per
+:class:`Variant`), the ones whose element is zero (``vanishing``, the
+paper's pooled count) and the per-colour trivial count of
+:func:`rootmult.tuples.count_canonical`.  ``total_configs``,
+``count_dependent``, ``count_vanishing`` and the piecewise combination
+``closed_form_dim`` read their values from that one evaluation, so a
+``compare`` row evaluates the model once for all of its closed-form columns.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 
 def binomial(n: int, k: int) -> int:
@@ -63,6 +69,91 @@ class Variant(str, enum.Enum):
     GUARDED = "guarded"
 
 
+class IntervalCounts(NamedTuple):
+    """Every count of the interval model at one weight; see :func:`interval_counts`."""
+
+    total: int
+    dependent_section44: int
+    dependent_lemma410: int
+    dependent_guarded: int
+    vanishing_first: int
+    vanishing_second: int
+    trivial: int
+
+    def dependent(self, variant: Variant | str = Variant.GUARDED) -> int:
+        variant = Variant(variant)
+        if variant is Variant.SECTION44:
+            return self.dependent_section44
+        if variant is Variant.LEMMA410:
+            return self.dependent_lemma410
+        return self.dependent_guarded
+
+    def dim(self, variant: Variant | str = Variant.GUARDED) -> int:
+        """The closed form: total minus dependent minus the applied vanishing counts."""
+        return self.total - self.dependent(variant) - self.vanishing_first - self.vanishing_second
+
+    @property
+    def canonical(self) -> int:
+        """The interval model's count: total minus per-colour trivial minus guarded dependent."""
+        return self.total - self.trivial - self.dependent_guarded
+
+
+def interval_counts(p: FormulaParams) -> IntervalCounts:
+    """Evaluate the interval model's counts at one weight.
+
+    With k = n2 - 2, a first interval holding i 1s leaves C(n1 - i + k, k)
+    ways to spread the other 1s over the other n2 - 1 intervals, and
+    likewise for the 3s.
+
+    * ``total`` sums the product over first intervals (i, j) with
+      0 <= i <= min(a1, n1), 0 <= j <= min(a2, n3), (i, j) != (0, 0).  The
+      1s and 3s spread independently, so the sum over the rectangle is a
+      product of two sums less the (0, 0) corner, and each sum is closed by
+      the hockey-stick identity (see :func:`total_configs`).
+    * The dependent products count a first interval (2, 0) (``ones_term``)
+      and (0, 2) (``threes_term``).  LEMMA410 adds both; GUARDED keeps each
+      only when its label is at least 2; SECTION44 takes the second lower
+      index of the ones product as n2 - 1.
+    * With m_i = n2 - a_i - 1, a single ball in the first interval followed
+      by a_i - 1 empty intervals leaves the other balls for m_i + 1
+      intervals.  The paper pools both colours into one stars-and-bars,
+      C(n1 + n3 - 1 + m_i, m_i) (``vanishing_*``); the per-colour count
+      multiplies the two colours' spreads (``trivial``).  Both are zero
+      when n2 < a_i + 1, where the pattern cannot occur.
+    """
+    a1, a2, n1, n2, n3 = p.a1, p.a2, p.n1, p.n2, p.n3
+    k = n2 - 2
+    ones_first = comb(n1 + k, k)
+    threes_first = comb(n3 + k, k)
+    ones_sum = comb(n1 + k + 1, k + 1) - comb(n1 + k - min(a1, n1), k + 1)
+    threes_sum = comb(n3 + k + 1, k + 1) - comb(n3 + k - min(a2, n3), k + 1)
+    total = ones_sum * threes_sum - ones_first * threes_first
+
+    ones_pair = comb(n1 - 2 + k, k)
+    ones_term = ones_pair * threes_first
+    threes_term = comb(n3 - 2 + k, k) * ones_first
+    section44 = threes_term + ones_pair * comb(n3 + k, k + 1)
+    guarded = (ones_term if a1 >= 2 else 0) + (threes_term if a2 >= 2 else 0)
+
+    vanishing_first = vanishing_second = trivial = 0
+    m1, m2 = n2 - a1 - 1, n2 - a2 - 1
+    if m1 >= 0:
+        vanishing_first = comb(n1 + n3 - 1 + m1, m1)
+        trivial += comb(n1 - 1 + m1, m1) * comb(n3 + m1, m1)
+    if m2 >= 0:
+        vanishing_second = comb(n1 + n3 - 1 + m2, m2)
+        trivial += comb(n1 + m2, m2) * comb(n3 - 1 + m2, m2)
+    return IntervalCounts(
+        total,
+        section44,
+        ones_term + threes_term,
+        guarded,
+        vanishing_first,
+        vanishing_second,
+        trivial,
+    )
+
+
 @dataclass(frozen=True)
 class DimBreakdown:
     """Full accounting of one closed-form evaluation."""
@@ -84,11 +175,14 @@ def total_configs(p: FormulaParams) -> int:
     balls over the other n2 - 1 intervals.  Contents past n1 or n3 would
     leave a negative ball count, a zero binomial, so the sums stop there.
     The 1s and the 3s spread independently, so the sum over the rectangle
-    is a product of two sums, less the (0, 0) corner.
+    is a product of two sums, less the (0, 0) corner.  Each sum is closed
+    by the hockey-stick identity, with m = min(a1, n1) for the 1s:
+
+        sum_{i=0}^{m} C(n1+n2-2-i, n2-2) = C(n1+n2-1, n2-1) - C(n1+n2-2-m, n2-1)
+
+    and likewise with m = min(a2, n3) for the 3s.
     """
-    ones = [binomial(p.n1 + p.n2 - i - 2, p.n2 - 2) for i in range(min(p.a1, p.n1) + 1)]
-    threes = [binomial(p.n2 + p.n3 - j - 2, p.n2 - 2) for j in range(min(p.a2, p.n3) + 1)]
-    return sum(ones) * sum(threes) - ones[0] * threes[0]
+    return interval_counts(p).total
 
 
 def count_dependent(p: FormulaParams, variant: Variant | str = Variant.GUARDED) -> int:
@@ -97,33 +191,18 @@ def count_dependent(p: FormulaParams, variant: Variant | str = Variant.GUARDED) 
     Those duplicate a configuration already counted with the pair split
     across the first two intervals, so they are subtracted.
     """
-    variant = Variant(variant)
-    ones_term = binomial(p.n1 + p.n2 - 4, p.n2 - 2) * binomial(p.n2 + p.n3 - 2, p.n2 - 2)
-    threes_term = binomial(p.n2 + p.n3 - 4, p.n2 - 2) * binomial(p.n1 + p.n2 - 2, p.n2 - 2)
-    if variant is Variant.LEMMA410:
-        return ones_term + threes_term
-    if variant is Variant.SECTION44:
-        # second lower index n2 - 1 instead of n2 - 2
-        return threes_term + binomial(p.n1 + p.n2 - 4, p.n2 - 2) * binomial(
-            p.n2 + p.n3 - 2, p.n2 - 1
-        )
-    if variant is Variant.GUARDED:
-        # a first interval (2, 0) requires a1 >= 2, and (0, 2) requires a2 >= 2
-        return (ones_term if p.a1 >= 2 else 0) + (threes_term if p.a2 >= 2 else 0)
-    raise ValueError(f"unknown variant {variant!r}")
+    return interval_counts(p).dependent(variant)
 
 
 def count_vanishing(p: FormulaParams) -> tuple[int, int]:
     """Counts of single-ball first intervals followed by the forced run of 2s.
 
     Those configurations encode elements annihilated by the defining
-    relations.  Out-of-range binomials are zero, so each count vanishes
-    whenever n2 < a_i + 1 and the pattern cannot occur.
+    relations.  Each count is zero whenever n2 < a_i + 1 and the pattern
+    cannot occur.
     """
-    n = p.n1 + p.n2 + p.n3
-    first = binomial(n - p.a1 - 2, p.n2 - p.a1 - 1)
-    second = binomial(n - p.a2 - 2, p.n2 - p.a2 - 1)
-    return first, second
+    counts = interval_counts(p)
+    return counts.vanishing_first, counts.vanishing_second
 
 
 def closed_form_dim(p: FormulaParams, variant: Variant | str = Variant.GUARDED) -> DimBreakdown:
@@ -133,24 +212,17 @@ def closed_form_dim(p: FormulaParams, variant: Variant | str = Variant.GUARDED) 
     n2 >= 1 + a_i; ``first_applied`` and ``second_applied`` record the two
     tests.  Both, one or neither may hold: for a1 <= a2 only the first
     count applies when 1 + a1 <= n2 < 1 + a2, and for a1 > a2 only the
-    second when 1 + a2 <= n2 < 1 + a1.
+    second when 1 + a2 <= n2 < 1 + a1.  A count that does not apply is
+    zero, so subtracting both counts is the piecewise formula.
     """
-    total = total_configs(p)
-    dependent = count_dependent(p, variant)
-    v1, v2 = count_vanishing(p)
-    first_applied = p.n2 >= 1 + p.a1
-    second_applied = p.n2 >= 1 + p.a2
-    dim = total - dependent
-    if first_applied:
-        dim -= v1
-    if second_applied:
-        dim -= v2
+    counts = interval_counts(p)
+    dependent = counts.dependent(variant)
     return DimBreakdown(
-        total=total,
+        total=counts.total,
         dependent=dependent,
-        vanishing_first=v1,
-        vanishing_second=v2,
-        first_applied=first_applied,
-        second_applied=second_applied,
-        dim=dim,
+        vanishing_first=counts.vanishing_first,
+        vanishing_second=counts.vanishing_second,
+        first_applied=p.n2 >= 1 + p.a1,
+        second_applied=p.n2 >= 1 + p.a2,
+        dim=counts.dim(variant),
     )

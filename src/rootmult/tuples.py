@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .formula import FormulaParams, Variant, count_dependent, stars_and_bars, total_configs
+from .formula import FormulaParams, interval_counts
 from .freelie import StandardTuple
 from .gcm import GeneralizedCartanMatrix, WeightVector, rank3_chain
 from .peterson import MultiplicityTable
@@ -117,19 +117,14 @@ class CanonicalCount:
 def count_canonical(p: FormulaParams) -> CanonicalCount:
     """Closed-form count of the model: canonical = raw - trivial - dependent.
 
-    raw and dependent are :func:`total_configs` and the guarded
-    :func:`count_dependent`.  trivial is counted per colour: a first
-    interval (1, 0) and a1 - 1 empty ones leave n1 - 1 ones and n3 threes
-    for the other n2 - a1 intervals; (0, 1) likewise with a2.
+    All four come from :func:`rootmult.formula.interval_counts`: raw is the
+    total and dependent the guarded dependent count.  trivial is counted
+    per colour: a first interval (1, 0) and a1 - 1 empty ones leave n1 - 1
+    ones and n3 threes for the other n2 - a1 intervals; (0, 1) likewise
+    with a2.
     """
-    raw = total_configs(p)
-    trivial = 0
-    if p.n2 > p.a1:
-        trivial += stars_and_bars(p.n1 - 1, p.n2 - p.a1) * stars_and_bars(p.n3, p.n2 - p.a1)
-    if p.n2 > p.a2:
-        trivial += stars_and_bars(p.n1, p.n2 - p.a2) * stars_and_bars(p.n3 - 1, p.n2 - p.a2)
-    dependent = count_dependent(p, Variant.GUARDED)
-    return CanonicalCount(raw, trivial, dependent, raw - trivial - dependent)
+    counts = interval_counts(p)
+    return CanonicalCount(counts.total, counts.trivial, counts.dependent_guarded, counts.canonical)
 
 
 def canonical_configs(p: FormulaParams) -> list[IntervalConfig]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import rootmult.cli as cli
-from rootmult import FormulaParams, OracleScaleError, RecurrenceError, closed_form_dim
+from rootmult import FormulaParams, OracleScaleError, RecurrenceError, Variant, closed_form_dim
+from rootmult.formula import count_dependent, count_vanishing, total_configs
 from rootmult.freelie import (
     MAX_BRACKET_DEPTH,
     MAX_EXPAND_WORDS,
@@ -330,6 +332,36 @@ def test_compare_finite_type_note(capsys):
     code, _ = run("compare", "--gcm", "1,1", "--range", "2..2", "--height-cap", "6")
     assert code == 0
     assert "finite type" in capsys.readouterr().err
+
+
+def test_mult_closed_form_finite_type_note(capsys):
+    # the closed-form methods warn as compare does; stdout and the exit code stay
+    for method in ("formula", "tuples"):
+        assert run("mult", "--gcm", "1,1", "--weight", "2,2,2", "--method", method) == (0, "1\n")
+        assert "finite type" in capsys.readouterr().err
+    assert run("mult", "--gcm", "1,1", "--weight", "2,2,2", "--method", "peterson") == (0, "0\n")
+    assert run("mult", "--gcm", "1,2", "--weight", "2,2,2", "--method", "formula") == (0, "3\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_compare_row_matches_the_library():
+    # the row evaluates the interval model once; each column must still be the
+    # library's value, and each closed form its breakdown
+    variants = (Variant.SECTION44, Variant.LEMMA410, Variant.GUARDED)
+    rows = 0
+    for a1, a2 in itertools.product(range(1, 5), repeat=2):
+        for row in cli.compare_rows(a1, a2, 2, 9, height_cap=1):
+            p = FormulaParams(a1, a2, row.n1, row.n2, row.n3)
+            v1, v2 = count_vanishing(p)
+            vanishing = (v1 if p.n2 >= 1 + a1 else 0) + (v2 if p.n2 >= 1 + a2 else 0)
+            columns = (row.formula_section44, row.formula_lemma410, row.formula_guarded)
+            for variant, column in zip(variants, columns):
+                b = closed_form_dim(p, variant)
+                assert column == b.dim, (a1, a2, p, variant)
+                assert b.dim == total_configs(p) - count_dependent(p, variant) - vanishing
+            assert row.tuples_canonical == count_canonical(p).canonical, (a1, a2, p)
+            rows += 1
+    assert rows == 16 * 8**3
 
 
 def test_compare_oracle_disagreement_truncates(monkeypatch, capsys):

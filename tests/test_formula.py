@@ -13,6 +13,7 @@ from rootmult.formula import (
     stars_and_bars,
     total_configs,
 )
+from rootmult.tuples import enumerate_configs
 
 
 def params(a, n):
@@ -49,6 +50,35 @@ def test_total_configs_examples():
     assert total_configs(params((1, 2), (2, 2, 2))) == 5
     assert total_configs(params((2, 2), (2, 3, 2))) == 27
     assert total_configs(params((1, 1), (2, 2, 2))) == 3
+
+
+def list_sum_total(p):
+    """The rectangle double sum as a product of two explicit sums less the (0, 0) corner."""
+    ones = [binomial(p.n1 + p.n2 - i - 2, p.n2 - 2) for i in range(min(p.a1, p.n1) + 1)]
+    threes = [binomial(p.n2 + p.n3 - j - 2, p.n2 - 2) for j in range(min(p.a2, p.n3) + 1)]
+    return sum(ones) * sum(threes) - ones[0] * threes[0]
+
+
+def test_total_configs_closes_the_rectangle_sum():
+    # the hockey-stick form against the explicit sums, labels past every n_i included
+    labels = (1, 2, 3, 4, 5, 10**12)
+    for a1, a2, *n in itertools.product(labels, labels, *[range(2, 12)] * 3):
+        p = params((a1, a2), n)
+        assert total_configs(p) == list_sum_total(p), (a1, a2, n)
+    # and the double sum over first intervals (i, j), term by term, on a smaller box
+    for a1, a2, *n in itertools.product(labels, labels, *[range(2, 7)] * 3):
+        p = params((a1, a2), n)
+        rectangle = sum(
+            binomial(p.n1 + p.n2 - i - 2, p.n2 - 2) * binomial(p.n2 + p.n3 - j - 2, p.n2 - 2)
+            for i in range(min(a1, p.n1) + 1)
+            for j in range(min(a2, p.n3) + 1)
+            if (i, j) != (0, 0)
+        )
+        assert total_configs(p) == rectangle, (a1, a2, n)
+    # and the enumerated configurations
+    for a1, a2, *n in itertools.product(labels, labels, *[range(2, 4)] * 3):
+        p = params((a1, a2), n)
+        assert total_configs(p) == len(enumerate_configs(p)), (a1, a2, n)
 
 
 def test_huge_labels_cost_no_more_than_the_weight():

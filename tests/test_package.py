@@ -80,6 +80,8 @@ def test_benchmark_tracer_counts_words_configs_and_bytes(monkeypatch):
         for argv in (
             ["rewrite", "[[e1,e2],[e3,e2]]", "--verify"],
             ["compare", "--gcm", "1,2", "--range", "1..3", "--height-cap", "6"],
+            # a compare row evaluates the interval model without count_canonical
+            ["mult", "--gcm", "1,2", "--weight", "2,2,2", "--method", "tuples"],
         ):
             assert cli.main(argv, io.StringIO()) == 0
     finally:
