@@ -21,6 +21,7 @@ from typing import IO, Iterator
 
 from .formula import FormulaParams, Variant, closed_form_dim, interval_counts
 from .freelie import (
+    BracketExpr,
     expand_combination,
     expand_tensor,
     free_lie_dim,
@@ -216,13 +217,35 @@ def _cmd_mult(args: argparse.Namespace, out: IO[str]) -> int:
     return EXIT_OK
 
 
+def _rewrite_holds(
+    expr: BracketExpr, lam: tuple[int, ...], combo: dict[tuple[int, ...], int]
+) -> bool:
+    """Whether ``combo`` expands to the same tensor polynomial as ``expr``.
+
+    Every tuple must have the multidegree ``lam``.  Then E(expr) - E(combo)
+    is a Lie polynomial of multidegree lam, and a nonzero one has a nonzero
+    coefficient on a Lyndon word (the standard bracketing of a Lyndon word l
+    is l plus larger words).  With a letter a of supp(lam) ordered smallest,
+    every such word begins with a, so comparing the left quotients a⁻¹E is
+    exact.  The letter is the one whose first position leaves the fewest
+    quotient words, 2^(n-1-i) for a first occurrence at 0-based position i.
+    """
+    n = sum(lam)
+    letters = range(1, len(lam) + 1)
+    if any(len(t) != n or tuple(map(t.count, letters)) != lam for t in combo):
+        return False
+    support = [i for i in letters if lam[i - 1]]
+    a = min(support, key=lambda i: sum(1 << (n - 1 - t.index(i)) for t in combo))
+    return expand_tensor(expr, first=a) == expand_combination(combo, first=a)
+
+
 def _cmd_rewrite(args: argparse.Namespace, out: IO[str]) -> int:
     expr = parse_bracket(args.expression)
-    weight_of(expr, 3)  # generator indices must name e1, e2 or e3
+    lam = weight_of(expr, 3).coeffs  # generator indices must name e1, e2 or e3
     combo = to_standard_form(expr)
     # both expansions run before anything is printed: either may pass
     # freelie.MAX_EXPAND_WORDS
-    verified = args.verify and expand_tensor(expr) == expand_combination(combo)
+    verified = args.verify and _rewrite_holds(expr, lam, combo)
     for t, c in sorted(combo.items()):
         print(f"{'+' if c > 0 else '-'}{abs(c)}*[{','.join(map(str, t))}]", file=out)
     if args.verify:

@@ -31,9 +31,11 @@ MAX_BRACKET_DEPTH = 256
 # 62,032; a depth-5 tree is refused at its root bracket
 MAX_REWRITE_STEPS = 1_000_000
 
-# most words one tensor expansion may hold; the alternating right-nested
-# bracket [e1,[e2,[e1,...]]] rewrites to a single tuple, yet at 24 leaves it
-# expands to 691,126 words, and each further 2 leaves cost about 3.4x that
+# most words one tensor expansion may hold: full expansions below the root,
+# and only the left quotient at the root when one is asked for.  The
+# alternating right-nested bracket [e1,[e2,[e1,...]]] rewrites to a single
+# tuple, yet at 24 leaves it expands to 691,126 words, and each further 2
+# leaves cost about 3.4x that
 MAX_EXPAND_WORDS = 1_000_000
 
 
@@ -163,12 +165,6 @@ class NcPolynomial:
     def __init__(self, coeffs: Mapping[bytes, int] | None = None) -> None:
         self.coeffs: dict[bytes, int] = {w: c for w, c in (coeffs or {}).items() if c}
 
-    @classmethod
-    def generator(cls, i: int) -> "NcPolynomial":
-        if not 1 <= i <= 255:
-            raise ValueError(f"generator index {i} does not fit the word encoding")
-        return cls({bytes([i]): 1})
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -244,39 +240,63 @@ def _expansion_limit(words: int) -> None:
         raise ValueError(f"tensor expansion exceeds {MAX_EXPAND_WORDS} words")
 
 
-def expand_tensor(x: BracketExpr) -> NcPolynomial:
+def _product_into(
+    out: dict[bytes, int], left: Mapping[bytes, int], right: Mapping[bytes, int], sign: int
+) -> None:
+    """Accumulate ``sign`` * (left · right) into ``out``; words concatenate."""
+    for w2, c2 in right.items():
+        k = sign * c2
+        for w1, c1 in left.items():
+            w = w1 + w2
+            v = out.get(w, 0) + k * c1
+            if v:
+                out[w] = v
+            else:
+                out.pop(w, None)
+
+
+def _left_quotient(coeffs: Mapping[bytes, int], a: int) -> dict[bytes, int]:
+    """a⁻¹P: the words of P that begin with e_a, with that letter dropped."""
+    return {w[1:]: c for w, c in coeffs.items() if w[0] == a}
+
+
+def _tensor_words(x: BracketExpr, first: int | None) -> dict[bytes, int]:
+    if isinstance(x, Leaf):
+        if not 1 <= x.index <= 255:
+            raise ValueError(f"generator index {x.index} does not fit the word encoding")
+        words = {bytes([x.index]): 1}
+        return words if first is None else _left_quotient(words, first)
+    left = _tensor_words(x.left, None)
+    right = _tensor_words(x.right, None)
+    if first is None:
+        left_head, right_head = left, right
+    else:
+        left_head, right_head = _left_quotient(left, first), _left_quotient(right, first)
+    _expansion_limit(len(left_head) * len(right) + len(right_head) * len(left))
+    out: dict[bytes, int] = {}
+    _product_into(out, left_head, right, 1)
+    _product_into(out, right_head, left, -1)
+    return out
+
+
+def expand_tensor(x: BracketExpr, first: int | None = None) -> NcPolynomial:
     """Expand a bracket expression to its tensor-algebra image, exactly.
 
-    Raises ``ValueError`` before forming a bracket [L, R] whose 2*|L|*|R|
-    words would pass :data:`MAX_EXPAND_WORDS`.
+    With ``first`` = a, return only the left quotient a⁻¹E: the words that
+    begin with e_a, with that letter dropped.  Only the root bracket changes,
+    a⁻¹[L, R] = (a⁻¹L)·R - (a⁻¹R)·L, with L and R expanded in full.
+    Raises ``ValueError`` before forming a bracket whose 2*|L|*|R| words,
+    or |a⁻¹L|*|R| + |a⁻¹R|*|L| at a quotient root, would pass
+    :data:`MAX_EXPAND_WORDS`.
     """
-    if isinstance(x, Leaf):
-        return NcPolynomial.generator(x.index)
-    left = expand_tensor(x.left)
-    right = expand_tensor(x.right)
-    _expansion_limit(2 * len(left.coeffs) * len(right.coeffs))
-    out: dict[bytes, int] = {}
-    for w1, c1 in left.coeffs.items():
-        for w2, c2 in right.coeffs.items():
-            c = c1 * c2
-            w = w1 + w2
-            v = out.get(w, 0) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-            w = w2 + w1
-            v = out.get(w, 0) - c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
     result = NcPolynomial()
-    result.coeffs = out
+    result.coeffs = _tensor_words(x, first)
     return result
 
 
-def expand_combination(coeffs: Mapping[StandardTuple, int]) -> NcPolynomial:
+def expand_combination(
+    coeffs: Mapping[StandardTuple, int], first: int | None = None
+) -> NcPolynomial:
     """Tensor expansion of a combination {standard tuple: integer} of one length.
 
     By linearity, k1*[e_a, u] + k2*[e_a, v] = [e_a, k1*u + k2*v], so the
@@ -287,6 +307,12 @@ def expand_combination(coeffs: Mapping[StandardTuple, int]) -> NcPolynomial:
     levels rather than by recursion keeps long tuples off the call stack.
     Zero coefficients are skipped.  A sum that passes
     :data:`MAX_EXPAND_WORDS` raises ``ValueError``.
+
+    With ``first`` = a, return only the left quotient a⁻¹E, as
+    :func:`expand_tensor` does.  A prefix that contains a holds its full
+    sum; a prefix without a holds only the a-quotient of its sum.  Going
+    from p·x to such a p, a⁻¹[e_a, P] = P - (a⁻¹P)·a for a full P, and
+    a⁻¹[e_x, Q] = -(a⁻¹Q)·x for x ≠ a, where only a⁻¹Q is held.
     """
     result = NcPolynomial()
     if not coeffs:
@@ -294,18 +320,31 @@ def expand_combination(coeffs: Mapping[StandardTuple, int]) -> NcPolynomial:
     n = len(next(iter(coeffs)))
     if n == 0:
         raise ValueError("empty standard tuple")
-    # each prefix of length n - 1 maps to the sum of k * e_{t[-1]} below it
+    a = first
+    # each prefix of length n - 1 maps to the sum of k * e_{t[-1]} below it,
+    # or to its a-quotient: k times the empty word when t[-1] = a
     level: dict[StandardTuple, dict[bytes, int]] = {}
     for t, k in coeffs.items():
         if len(t) != n:
             raise ValueError("standard tuples of mixed length")
-        if k:
+        if not k:
+            continue
+        if a is None or a in t[:-1]:
             level.setdefault(t[:-1], {})[bytes(t[-1:])] = k
+        elif t[-1] == a:
+            level.setdefault(t[:-1], {})[b""] = k
     for _ in range(n - 1):
         parents: dict[StandardTuple, dict[bytes, int]] = {}
         for prefix, tails in level.items():
-            out = parents.setdefault(prefix[:-1], {})
-            _ad_into(out, bytes(prefix[-1:]), tails)
+            parent, x = prefix[:-1], bytes(prefix[-1:])
+            out = parents.setdefault(parent, {})
+            if a is None or a in parent:
+                _ad_into(out, x, tails)
+            elif x[0] == a:
+                _product_into(out, tails, {b"": 1}, 1)
+                _product_into(out, _left_quotient(tails, a), {x: 1}, -1)
+            else:
+                _product_into(out, tails, {x: 1}, -1)
             _expansion_limit(len(out))
         level = parents
     result.coeffs = level.get((), {})

@@ -159,6 +159,28 @@ def test_rewrite_verify_output_is_pinned():
     assert digest.hexdigest() == "c006b903b28296ace229185722f96dda502e2baf"
 
 
+def test_rewrite_verify_edge_cases():
+    assert run("rewrite", "e1", "--verify") == (0, "+1*[1]\nVERIFIED\n")
+    # [e1,e1] rewrites to the empty combination
+    assert run("rewrite", "[e1,e1]", "--verify") == (0, "VERIFIED\n")
+
+
+@pytest.mark.parametrize(
+    "combo, printed",
+    [
+        # a tuple of multidegree (1,0,1) in place of [1,2]
+        ({(1, 3): 1}, "+1*[1,3]\n"),
+        # an extra tuple without e1, whose 1-quotient is zero
+        ({(1, 2): 1, (3, 2): 1}, "+1*[1,2]\n+1*[3,2]\n"),
+        # a longer tuple whose counts of e1, e2, e3 are right
+        ({(1, 2): 1, (1, 2, 4): 1}, "+1*[1,2]\n+1*[1,2,4]\n"),
+    ],
+)
+def test_rewrite_verify_rejects_another_multidegree(monkeypatch, combo, printed):
+    monkeypatch.setattr(cli, "to_standard_form", lambda expr: combo)
+    assert run("rewrite", "[e1,e2]", "--verify") == (cli.EXIT_COMPUTE, printed + "MISMATCH\n")
+
+
 def test_rewrite_rejects_generator_out_of_range(capsys):
     for argv, index in ((("e300",), 300), (("e0", "--verify"), 0), (("[e1,e4]", "--verify"), 4)):
         code, out = run("rewrite", *argv)

@@ -246,6 +246,79 @@ def test_expansions_stop_past_the_word_limit(monkeypatch):
     assert expand_tensor(right_nested(t)) == expand_tuple(t)
 
 
+def left_quotient(p: NcPolynomial, a: int) -> NcPolynomial:
+    """a⁻¹p, read off the full expansion: words beginning with e_a, that letter dropped."""
+    return NcPolynomial({w[1:]: c for w, c in p.coeffs.items() if w[0] == a})
+
+
+def test_quotient_root_is_charged_its_quotient_words(monkeypatch):
+    t = (1, 2) * 6
+    expr = right_nested(t)
+    right = len(expand_tensor(expr.right).coeffs)
+    # the full root [e1, R] is charged 2 * 1 * |R|; the 2-quotient root only
+    # |2⁻¹e1| * |R| + |2⁻¹R| * 1 = |2⁻¹R|, and every bracket below stays under
+    monkeypatch.setattr(freelie, "MAX_EXPAND_WORDS", 2 * right - 1)
+    with pytest.raises(ValueError, match=f"exceeds {2 * right - 1} words"):
+        expand_tensor(expr)
+    assert expand_tensor(expr, first=2) == left_quotient(expand_tuple(t), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(combinations())
+def test_expand_combination_left_quotient(drawn):
+    combo, _ = drawn
+    full = expand_combination(combo)
+    for a in (1, 2, 3):
+        assert expand_combination(combo, first=a) == left_quotient(full, a)
+
+
+def test_expand_tensor_left_quotient():
+    rng = random.Random(20261020)
+    for _ in range(300):
+        expr = random_expr(rng, rng.randint(1, 10))
+        full = expand_tensor(expr)
+        combo = to_standard_form(expr)
+        for a in (1, 2, 3):
+            quotient = left_quotient(full, a)
+            assert expand_tensor(expr, first=a) == quotient
+            assert expand_combination(combo, first=a) == quotient
+
+
+def corrupted(rng: random.Random, combo: dict, degree: tuple[int, ...]) -> tuple[dict, tuple]:
+    """``combo`` with one coefficient moved by 1, one tuple dropped, or one added.
+
+    An added tuple is a random arrangement of the letters of ``degree``.
+    Returns the new combination, without zero coefficients, and the tuple
+    that changed.
+    """
+    bad = dict(combo)
+    change = rng.choice(("coefficient", "drop", "add") if bad else ("add",))
+    if change == "add":
+        letters = [i + 1 for i, c in enumerate(degree) for _ in range(c)]
+        rng.shuffle(letters)
+        t = tuple(letters)
+        bad[t] = bad.get(t, 0) + rng.choice((-1, 1))
+    else:
+        t = rng.choice(sorted(bad))
+        bad[t] = 0 if change == "drop" else bad[t] + rng.choice((-1, 1))
+    return {u: k for u, k in bad.items() if k}, t
+
+
+def test_quotient_verdict_matches_full_verdict_on_corrupted_rewrites():
+    # E(expr) - E(bad) is a Lie polynomial of the expression's multidegree, so
+    # its a-quotient vanishes exactly when it does, for every a in the support
+    rng = random.Random(20261021)
+    for _ in range(400):
+        expr = random_expr(rng, rng.randint(1, 10))
+        degree = weight_of(expr, 3).coeffs
+        bad, t = corrupted(rng, to_standard_form(expr), degree)
+        holds = expand_tensor(expr) == expand_combination(bad)
+        # only a tuple ending in [e_x, e_x] expands to zero
+        assert holds == (len(t) > 1 and t[-1] == t[-2])
+        for a in (i + 1 for i, c in enumerate(degree) if c):
+            assert (expand_tensor(expr, first=a) == expand_combination(bad, first=a)) == holds
+
+
 def test_nc_polynomial_term_order_is_length_then_lex():
     p = poly({"21": 1, "112": 2, "3": -1, "12": 1})
     words = [w for w, _ in p.terms()]

@@ -238,3 +238,66 @@ def test_filled_tables_are_pinned(chain, box):
     table.multiplicity(box)
     state = (sorted(table._mult.items()), sorted(table._cnum.items()), table._denom)
     assert hashlib.sha1(repr(state).encode()).hexdigest() == PINNED_TABLES[chain, box]
+
+
+# the chains the theorem-level checks fill to the box (10, 10, 10)
+THEOREM_CHAINS = ((1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 3))
+
+
+@pytest.fixture(scope="module")
+def filled_boxes():
+    """Every multiplicity of the box (10, 10, 10), with its (lam, lam), per chain."""
+    boxes = {}
+    for chain in THEOREM_CHAINS:
+        table = MultiplicityTable(rank3_chain(*chain))
+        table.multiplicity((10, 10, 10))
+        form = table.algebra.form
+        boxes[chain] = [
+            (w.coeffs, m, form(w.coeffs, w.coeffs)) for w, m in table.computed().items()
+        ]
+    return boxes
+
+
+@pytest.mark.parametrize("chain", THEOREM_CHAINS)
+def test_norm_above_two_is_not_a_root(filled_boxes, chain):
+    # positive roots have (lam, lam) <= 2: real roots 2, imaginary ones <= 0
+    long = [(lam, m) for lam, m, norm in filled_boxes[chain] if norm >= 4]
+    assert long and all(m == 0 for _, m in long)
+
+
+@pytest.mark.parametrize("chain", THEOREM_CHAINS)
+def test_real_roots_have_multiplicity_one(filled_boxes, chain):
+    # a root with (lam, lam) = 2 is real: a Weyl image of a simple root
+    real = [(lam, m) for lam, m, norm in filled_boxes[chain] if norm == 2 and m]
+    assert len(real) > 3 and all(m == 1 for _, m in real)
+
+
+@pytest.mark.parametrize("chain", THEOREM_CHAINS)
+def test_chamber_weights_with_connected_support_are_roots(filled_boxes, chain):
+    # Kac, Thm 5.4: a nonzero lam with (lam, alpha_i) <= 0 for every i and
+    # connected support is an imaginary root; on the chain 1-2-3 the only
+    # disconnected support is {1, 3}
+    A = rank3_chain(*chain)
+    simples = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    chamber = [
+        (lam, m)
+        for lam, m, _ in filled_boxes[chain]
+        if all(A.form(lam, s) <= 0 for s in simples) and (lam[1] or not (lam[0] and lam[2]))
+    ]
+    assert len(chamber) >= 50 and all(m >= 1 for _, m in chamber)
+
+
+# with a2 = 2, nodes {2, 3} form the affine A1^(1), whose imaginary roots are
+# the multiples of delta = alpha2 + alpha3; likewise nodes {1, 2} when a1 = 2
+AFFINE_DELTAS = [
+    (chain, delta)
+    for chain in THEOREM_CHAINS
+    for delta, a in (((0, 1, 1), chain[1]), ((1, 1, 0), chain[0]))
+    if a == 2
+]
+
+
+@pytest.mark.parametrize("chain, delta", AFFINE_DELTAS)
+def test_affine_subdiagram_imaginary_roots_have_multiplicity_one(filled_boxes, chain, delta):
+    mults = {lam: m for lam, m, _ in filled_boxes[chain]}
+    assert [mults[tuple(k * c for c in delta)] for k in range(1, 11)] == [1] * 10
