@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import IO, Iterator
 
-from .formula import FormulaParams, Variant, closed_form_dim, interval_counts
+from .formula import FormulaParams, Variant, closed_form_dim, count_canonical, interval_counts
 from .freelie import (
     BracketExpr,
     expand_combination,
@@ -32,7 +32,6 @@ from .freelie import (
 from .gcm import GeneralizedCartanMatrix, WeightVector, query_weight, rank3_chain
 from .peterson import MultiplicityTable, RecurrenceError
 from .serre import DEFAULT_HEIGHT_CAP, OracleScaleError, SerreQuotient
-from .tuples import count_canonical
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -210,7 +209,7 @@ def _cmd_mult(args: argparse.Namespace, out: IO[str]) -> int:
         params = FormulaParams(*args.gcm, *weight.coeffs)
         _note_finite_type(algebra)
         if args.method == "formula":
-            value = closed_form_dim(params, args.variant).dim
+            value = closed_form_dim(params, args.variant)
         else:
             value = count_canonical(params).canonical
     _print_value(weight.coeffs, value, out)

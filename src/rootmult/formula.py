@@ -1,16 +1,30 @@
 """Closed-form root-space dimension counts for the rank-3 chain matrices.
 
-The counts live on the interval model of :mod:`rootmult.tuples`: a weight
-(n1, n2, n3) is realized by tuples whose n2 entries "2" delimit intervals
-holding the 1s and 3s.  :func:`interval_counts` evaluates every count of the
-model at one weight, once: the admissible configurations (``total``), the
-ones duplicating another configuration (``dependent``, one shape per
-:class:`Variant`), the ones whose element is zero (``vanishing``, the
-paper's pooled count) and the per-colour trivial count of
-:func:`rootmult.tuples.count_canonical`.  ``total_configs``,
-``count_dependent``, ``count_vanishing`` and the piecewise combination
-``closed_form_dim`` read their values from that one evaluation, so a
-``compare`` row evaluates the model once for all of its closed-form columns.
+The counts live on an interval model.  A standard tuple of weight
+(n1, n2, n3) whose rightmost entry is 2 is abstracted to a sequence of n2
+intervals, one per "2", each holding a count of 1s and of 3s: each "2" owns
+the interval to its left, and the order of the balls inside an interval is
+immaterial in the quotient (adjacent 1/3 swaps change nothing there).  The
+first (rightmost) interval is not empty and holds at most a1 ones and a2
+threes.
+
+:func:`interval_counts` evaluates every count of the model at one weight,
+once, into an :class:`IntervalCounts`: the admissible configurations
+(``total``), the ones duplicating another configuration (``dependent``, one
+shape per :class:`Variant`), the ones whose element is zero (``vanishing``,
+the paper's pooled count) and the per-colour trivial count.  A ``compare``
+row reads all of its closed-form columns from that one evaluation.
+
+The paper's dimension is total minus dependent minus vanishing, piecewise in
+n2: the vanishing count for label a_i is subtracted exactly when
+n2 >= 1 + a_i.  Both, one or neither may hold: for a1 <= a2 only the first
+count applies when 1 + a1 <= n2 < 1 + a2, and for a1 > a2 only the second
+when 1 + a2 <= n2 < 1 + a1.  A count that does not apply is zero, so
+:meth:`IntervalCounts.dim`, which subtracts both, is the piecewise formula.
+
+The module imports only the standard library, so the closed form is
+independent of both oracles.  The enumeration of the model, which checks
+these counts configuration by configuration, is a test reference.
 """
 from __future__ import annotations
 
@@ -18,22 +32,6 @@ import enum
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient with the out-of-range convention C(n, k) = 0."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
-def stars_and_bars(n: int, l: int) -> int:
-    """Number of ways to put n indistinguishable balls into l boxes: C(n+l-1, l-1)."""
-    if l <= 0:
-        raise ValueError(f"need at least one box, got {l}")
-    if n < 0:
-        raise ValueError(f"negative ball count {n}")
-    return binomial(n + l - 1, l - 1)
 
 
 @dataclass(frozen=True)
@@ -106,20 +104,33 @@ def interval_counts(p: FormulaParams) -> IntervalCounts:
     likewise for the 3s.
 
     * ``total`` sums the product over first intervals (i, j) with
-      0 <= i <= min(a1, n1), 0 <= j <= min(a2, n3), (i, j) != (0, 0).  The
-      1s and 3s spread independently, so the sum over the rectangle is a
-      product of two sums less the (0, 0) corner, and each sum is closed by
-      the hockey-stick identity (see :func:`total_configs`).
-    * The dependent products count a first interval (2, 0) (``ones_term``)
-      and (0, 2) (``threes_term``).  LEMMA410 adds both; GUARDED keeps each
-      only when its label is at least 2; SECTION44 takes the second lower
-      index of the ones product as n2 - 1.
-    * With m_i = n2 - a_i - 1, a single ball in the first interval followed
-      by a_i - 1 empty intervals leaves the other balls for m_i + 1
-      intervals.  The paper pools both colours into one stars-and-bars,
-      C(n1 + n3 - 1 + m_i, m_i) (``vanishing_*``); the per-colour count
-      multiplies the two colours' spreads (``trivial``).  Both are zero
-      when n2 < a_i + 1, where the pattern cannot occur.
+      0 <= i <= min(a1, n1), 0 <= j <= min(a2, n3), (i, j) != (0, 0).
+      Contents past n1 or n3 would leave a negative ball count, a zero
+      binomial, so the sums stop there.  The 1s and the 3s spread
+      independently, so the sum over the rectangle is a product of two sums
+      less the (0, 0) corner.  Each sum is closed by the hockey-stick
+      identity, with m = min(a1, n1) for the 1s:
+
+          sum_{i=0}^{m} C(n1+k-i, k) = C(n1+k+1, k+1) - C(n1+k-m, k+1)
+
+      and likewise with m = min(a2, n3) for the 3s.
+    * A first interval of exactly two identical balls is dependent: the
+      pair (ball, ball, 2) commutes with the delimiter, so the
+      configuration duplicates one with the pair split across the first
+      two intervals.  The products count a first interval (2, 0)
+      (``ones_term``) and (0, 2) (``threes_term``).  LEMMA410 adds both;
+      GUARDED keeps each only when its label is at least 2, the only labels
+      that admit the pattern; SECTION44 takes the second lower index of the
+      ones product as n2 - 1.
+    * A single ball in the first interval followed by a_i - 1 empty
+      intervals is vanishing: the tuple tail reads (2, ..., 2, ball, 2) with
+      a_i twos, and applying a_i twos to a single ball is the power of the
+      adjoint that a defining relation kills.  With m_i = n2 - a_i - 1 the
+      other balls go to the remaining m_i + 1 intervals.  The paper pools
+      both colours into one stars-and-bars, C(n1 + n3 - 1 + m_i, m_i)
+      (``vanishing_*``); the per-colour count multiplies the two colours'
+      spreads (``trivial``).  Both are zero when n2 < a_i + 1, where the
+      pattern cannot occur.
     """
     a1, a2, n1, n2, n3 = p.a1, p.a2, p.n1, p.n2, p.n3
     k = n2 - 2
@@ -154,75 +165,25 @@ def interval_counts(p: FormulaParams) -> IntervalCounts:
     )
 
 
+def closed_form_dim(p: FormulaParams, variant: Variant | str = Variant.GUARDED) -> int:
+    """The paper's piecewise dimension at one weight, with the given dependent shape."""
+    return interval_counts(p).dim(variant)
+
+
+# kept only for the benchmark's tuples.configs counter, which reads .raw
 @dataclass(frozen=True)
-class DimBreakdown:
-    """Full accounting of one closed-form evaluation."""
-
-    total: int
+class CanonicalCount:
+    raw: int
+    trivial: int
     dependent: int
-    vanishing_first: int
-    vanishing_second: int
-    first_applied: bool
-    second_applied: bool
-    dim: int
+    canonical: int
 
 
-def total_configs(p: FormulaParams) -> int:
-    """Count all admissible interval configurations.
+def count_canonical(p: FormulaParams) -> CanonicalCount:
+    """Closed-form count of the model: canonical = raw - trivial - dependent.
 
-    Sums, over first-interval contents (i, j) with 0 <= i <= min(a1, n1),
-    0 <= j <= min(a2, n3), (i, j) != (0, 0), the ways to spread the remaining
-    balls over the other n2 - 1 intervals.  Contents past n1 or n3 would
-    leave a negative ball count, a zero binomial, so the sums stop there.
-    The 1s and the 3s spread independently, so the sum over the rectangle
-    is a product of two sums, less the (0, 0) corner.  Each sum is closed
-    by the hockey-stick identity, with m = min(a1, n1) for the 1s:
-
-        sum_{i=0}^{m} C(n1+n2-2-i, n2-2) = C(n1+n2-1, n2-1) - C(n1+n2-2-m, n2-1)
-
-    and likewise with m = min(a2, n3) for the 3s.
-    """
-    return interval_counts(p).total
-
-
-def count_dependent(p: FormulaParams, variant: Variant | str = Variant.GUARDED) -> int:
-    """Count configurations whose first interval holds two identical balls.
-
-    Those duplicate a configuration already counted with the pair split
-    across the first two intervals, so they are subtracted.
-    """
-    return interval_counts(p).dependent(variant)
-
-
-def count_vanishing(p: FormulaParams) -> tuple[int, int]:
-    """Counts of single-ball first intervals followed by the forced run of 2s.
-
-    Those configurations encode elements annihilated by the defining
-    relations.  Each count is zero whenever n2 < a_i + 1 and the pattern
-    cannot occur.
+    All four come from :func:`interval_counts`: raw is the total, trivial
+    the per-colour trivial count and dependent the guarded dependent count.
     """
     counts = interval_counts(p)
-    return counts.vanishing_first, counts.vanishing_second
-
-
-def closed_form_dim(p: FormulaParams, variant: Variant | str = Variant.GUARDED) -> DimBreakdown:
-    """Piecewise closed-form dimension: total minus dependent minus vanishing.
-
-    The vanishing count for label a_i is subtracted exactly when
-    n2 >= 1 + a_i; ``first_applied`` and ``second_applied`` record the two
-    tests.  Both, one or neither may hold: for a1 <= a2 only the first
-    count applies when 1 + a1 <= n2 < 1 + a2, and for a1 > a2 only the
-    second when 1 + a2 <= n2 < 1 + a1.  A count that does not apply is
-    zero, so subtracting both counts is the piecewise formula.
-    """
-    counts = interval_counts(p)
-    dependent = counts.dependent(variant)
-    return DimBreakdown(
-        total=counts.total,
-        dependent=dependent,
-        vanishing_first=counts.vanishing_first,
-        vanishing_second=counts.vanishing_second,
-        first_applied=p.n2 >= 1 + p.a1,
-        second_applied=p.n2 >= 1 + p.a2,
-        dim=counts.dim(variant),
-    )
+    return CanonicalCount(counts.total, counts.trivial, counts.dependent_guarded, counts.canonical)

@@ -101,15 +101,12 @@ class SerreQuotient:
             blocks = [(i, k) for k in range(r)]
             self._spaces[simple] = _Space(1, blocks, [{i: -1}], 1, {i: raising})
 
-    def scale_error(self, lam: WeightVector) -> OracleScaleError:
-        return OracleScaleError(
-            f"oracle scale exceeded: weight {lam.coeffs} has height {lam.height}, "
-            f"cap is {self.height_cap}"
-        )
-
     def _check_height(self, lam: WeightVector) -> None:
         if lam.height > self.height_cap:
-            raise self.scale_error(lam)
+            raise OracleScaleError(
+                f"oracle scale exceeded: weight {lam.coeffs} has height {lam.height}, "
+                f"cap is {self.height_cap}"
+            )
 
     def _build(self, lam: tuple[int, ...]) -> _Space:
         """g_lam for height >= 2; every space below it must already be built.

@@ -25,7 +25,7 @@ from rootmult import (
     to_standard_form,
 )
 from rootmult.cli import CSV_HEADER, main as cli_main
-from rootmult.formula import count_dependent, count_vanishing, stars_and_bars, total_configs
+from rootmult.formula import interval_counts
 from rootmult.freelie import (
     expand_combination,
     expand_tensor,
@@ -33,15 +33,18 @@ from rootmult.freelie import (
     weight_of,
 )
 from rootmult.linalg import matrix_rank
-from rootmult.tuples import (
+
+from conftest import (
     compositions,
     enumerate_configs,
+    expand_tuple,
+    in_relation_ideal,
     independent_rank_check,
     is_dependent_pattern,
     is_trivial_pattern,
+    random_expr,
+    stars_and_bars,
 )
-
-from conftest import expand_tuple, in_relation_ideal, random_expr
 
 CHAINS = ((1, 1), (1, 2), (2, 2))
 
@@ -131,21 +134,21 @@ def test_ac05_stars_and_bars_brute_force():
 
 def test_ac06_formula_arithmetic():
     p = FormulaParams(1, 2, 2, 2, 2)
-    assert total_configs(p) == 5
-    assert count_vanishing(p) == (1, 0)
+    counts = interval_counts(p)
+    assert counts.total == 5
+    assert (counts.vanishing_first, counts.vanishing_second) == (1, 0)
     expected = {Variant.SECTION44: (3, 1), Variant.LEMMA410: (2, 2), Variant.GUARDED: (1, 3)}
     for variant, (b, dim) in expected.items():
-        breakdown = closed_form_dim(p, variant)
-        assert breakdown.dependent == b, variant
-        assert breakdown.dim == dim, variant
+        assert counts.dependent(variant) == b, variant
+        assert closed_form_dim(p, variant) == dim, variant
 
     q = FormulaParams(2, 2, 2, 3, 2)
-    assert total_configs(q) == 27
-    assert count_vanishing(q) == (1, 1)
+    counts = interval_counts(q)
+    assert counts.total == 27
+    assert (counts.vanishing_first, counts.vanishing_second) == (1, 1)
     for variant in Variant:
-        breakdown = closed_form_dim(q, variant)
-        assert breakdown.dependent == 6
-        assert breakdown.dim == 19
+        assert counts.dependent(variant) == 6
+        assert closed_form_dim(q, variant) == 19
     report("AC-06 PASS closed-form arithmetic: (1,2)@(2,2,2) dims 1/2/3; (2,2)@(2,3,2) dim 19")
 
 
@@ -184,14 +187,15 @@ def test_ac08_combinatorial_identities():
     for a1, a2 in itertools.product((1, 2, 3), repeat=2):
         for n in itertools.product((2, 3, 4), repeat=3):
             p = FormulaParams(a1, a2, *n)
+            counts = interval_counts(p)
             configs = enumerate_configs(p)
-            if len(configs) != total_configs(p):
+            if len(configs) != counts.total:
                 total_bad.append(((a1, a2), n))
             dep = sum(is_dependent_pattern(c) for c in configs)
-            if dep != count_dependent(p, Variant.GUARDED):
+            if dep != counts.dependent(Variant.GUARDED):
                 dependent_bad.append(((a1, a2), n))
             triv = sum(is_trivial_pattern(c) for c in configs)
-            v1, v2 = count_vanishing(p)
+            v1, v2 = counts.vanishing_first, counts.vanishing_second
             closed = (v1 if p.n2 >= 1 + a1 else 0) + (v2 if p.n2 >= 1 + a2 else 0)
             if triv != closed:
                 trivial_bad.append(((a1, a2), n, triv, closed))

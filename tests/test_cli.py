@@ -15,7 +15,7 @@ import pytest
 
 import rootmult.cli as cli
 from rootmult import FormulaParams, OracleScaleError, RecurrenceError, Variant, closed_form_dim
-from rootmult.formula import count_dependent, count_vanishing, total_configs
+from rootmult.formula import count_canonical, interval_counts
 from rootmult.freelie import (
     MAX_BRACKET_DEPTH,
     MAX_EXPAND_WORDS,
@@ -23,7 +23,6 @@ from rootmult.freelie import (
     format_bracket,
     free_lie_dim,
 )
-from rootmult.tuples import count_canonical
 
 from conftest import random_expr
 
@@ -214,7 +213,7 @@ def test_values_past_the_digit_limit_exit_3(capsys):
         (
             ("mult", "--gcm", "1,2", "--weight", "8000,8000,2", "--method", "formula"),
             (8000, 8000, 2),
-            closed_form_dim(params).dim,
+            closed_form_dim(params),
         ),
         (
             ("mult", "--gcm", "1,2", "--weight", "8000,8000,2", "--method", "tuples"),
@@ -374,16 +373,31 @@ def test_compare_row_matches_the_library():
     for a1, a2 in itertools.product(range(1, 5), repeat=2):
         for row in cli.compare_rows(a1, a2, 2, 9, height_cap=1):
             p = FormulaParams(a1, a2, row.n1, row.n2, row.n3)
-            v1, v2 = count_vanishing(p)
+            counts = interval_counts(p)
+            v1, v2 = counts.vanishing_first, counts.vanishing_second
             vanishing = (v1 if p.n2 >= 1 + a1 else 0) + (v2 if p.n2 >= 1 + a2 else 0)
             columns = (row.formula_section44, row.formula_lemma410, row.formula_guarded)
             for variant, column in zip(variants, columns):
-                b = closed_form_dim(p, variant)
-                assert column == b.dim, (a1, a2, p, variant)
-                assert b.dim == total_configs(p) - count_dependent(p, variant) - vanishing
+                dim = closed_form_dim(p, variant)
+                assert column == dim, (a1, a2, p, variant)
+                assert dim == counts.total - counts.dependent(variant) - vanishing
             assert row.tuples_canonical == count_canonical(p).canonical, (a1, a2, p)
             rows += 1
     assert rows == 16 * 8**3
+
+
+def test_mult_closed_form_methods_print_the_library_values():
+    # mult --method formula prints IntervalCounts.dim of the chosen variant, and
+    # --method tuples its canonical count
+    for (a1, a2), weight in itertools.product(
+        ((1, 2), (2, 2), (3, 1)), ((2, 2, 2), (3, 4, 2), (2, 5, 3))
+    ):
+        counts = interval_counts(FormulaParams(a1, a2, *weight))
+        argv = ("mult", "--gcm", f"{a1},{a2}", "--weight", ",".join(map(str, weight)))
+        for variant in Variant:
+            printed = run(*argv, "--method", "formula", "--variant", variant.value)
+            assert printed == (0, f"{counts.dim(variant)}\n"), (a1, a2, weight, variant)
+        assert run(*argv, "--method", "tuples") == (0, f"{counts.canonical}\n"), (a1, a2, weight)
 
 
 def test_compare_oracle_disagreement_truncates(monkeypatch, capsys):

@@ -1,19 +1,18 @@
 from __future__ import annotations
 
+import ast
 import itertools
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import rootmult.formula
 from rootmult import FormulaParams, Variant, closed_form_dim
-from rootmult.formula import (
-    binomial,
-    count_dependent,
-    count_vanishing,
-    stars_and_bars,
-    total_configs,
-)
-from rootmult.tuples import enumerate_configs
+from rootmult.formula import interval_counts
+
+from conftest import binomial, enumerate_configs, stars_and_bars
 
 
 def params(a, n):
@@ -47,9 +46,9 @@ def test_params_validation():
 
 
 def test_total_configs_examples():
-    assert total_configs(params((1, 2), (2, 2, 2))) == 5
-    assert total_configs(params((2, 2), (2, 3, 2))) == 27
-    assert total_configs(params((1, 1), (2, 2, 2))) == 3
+    assert interval_counts(params((1, 2), (2, 2, 2))).total == 5
+    assert interval_counts(params((2, 2), (2, 3, 2))).total == 27
+    assert interval_counts(params((1, 1), (2, 2, 2))).total == 3
 
 
 def list_sum_total(p):
@@ -64,7 +63,7 @@ def test_total_configs_closes_the_rectangle_sum():
     labels = (1, 2, 3, 4, 5, 10**12)
     for a1, a2, *n in itertools.product(labels, labels, *[range(2, 12)] * 3):
         p = params((a1, a2), n)
-        assert total_configs(p) == list_sum_total(p), (a1, a2, n)
+        assert interval_counts(p).total == list_sum_total(p), (a1, a2, n)
     # and the double sum over first intervals (i, j), term by term, on a smaller box
     for a1, a2, *n in itertools.product(labels, labels, *[range(2, 7)] * 3):
         p = params((a1, a2), n)
@@ -74,11 +73,11 @@ def test_total_configs_closes_the_rectangle_sum():
             for j in range(min(a2, p.n3) + 1)
             if (i, j) != (0, 0)
         )
-        assert total_configs(p) == rectangle, (a1, a2, n)
+        assert interval_counts(p).total == rectangle, (a1, a2, n)
     # and the enumerated configurations
     for a1, a2, *n in itertools.product(labels, labels, *[range(2, 4)] * 3):
         p = params((a1, a2), n)
-        assert total_configs(p) == len(enumerate_configs(p)), (a1, a2, n)
+        assert interval_counts(p).total == len(enumerate_configs(p)), (a1, a2, n)
 
 
 def test_huge_labels_cost_no_more_than_the_weight():
@@ -87,92 +86,122 @@ def test_huge_labels_cost_no_more_than_the_weight():
     for n in ((2, 2, 2), (3, 4, 2), (5, 3, 4)):
         start = time.monotonic()
         huge = params((10**12, 2), n), params((2, 10**12), n), params((10**12, 10**12), n)
-        values = [(total_configs(p), closed_form_dim(p)) for p in huge]
+        values = [interval_counts(p) for p in huge]
         assert time.monotonic() - start < 1.0
         small = params((10**3, 2), n), params((2, 10**3), n), params((10**3, 10**3), n)
-        assert values == [(total_configs(p), closed_form_dim(p)) for p in small]
+        assert values == [interval_counts(p) for p in small]
 
 
 def test_count_dependent_examples():
-    p = params((1, 2), (2, 2, 2))
-    assert count_dependent(p, Variant.SECTION44) == 3
-    assert count_dependent(p, Variant.LEMMA410) == 2
-    assert count_dependent(p, Variant.GUARDED) == 1
-    q = params((2, 2), (2, 3, 2))
-    assert {count_dependent(q, v) for v in Variant} == {6}
+    p = interval_counts(params((1, 2), (2, 2, 2)))
+    assert p.dependent(Variant.SECTION44) == p.dependent_section44 == 3
+    assert p.dependent(Variant.LEMMA410) == p.dependent_lemma410 == 2
+    assert p.dependent(Variant.GUARDED) == p.dependent_guarded == 1
+    q = interval_counts(params((2, 2), (2, 3, 2)))
+    assert {q.dependent(v) for v in Variant} == {6}
 
 
 def test_count_dependent_accepts_strings_and_rejects_unknown():
-    p = params((1, 2), (2, 2, 2))
-    assert count_dependent(p, "lemma410") == 2
+    counts = interval_counts(params((1, 2), (2, 2, 2)))
+    assert counts.dependent("lemma410") == 2
     with pytest.raises(ValueError):
-        count_dependent(p, "fancy")
+        counts.dependent("fancy")
+
+
+def vanishing(p):
+    counts = interval_counts(p)
+    return counts.vanishing_first, counts.vanishing_second
 
 
 def test_count_vanishing_examples():
-    assert count_vanishing(params((1, 2), (2, 2, 2))) == (1, 0)
-    assert count_vanishing(params((2, 2), (2, 3, 2))) == (1, 1)
-    assert count_vanishing(params((3, 3), (2, 2, 2))) == (0, 0)
+    assert vanishing(params((1, 2), (2, 2, 2))) == (1, 0)
+    assert vanishing(params((2, 2), (2, 3, 2))) == (1, 1)
+    assert vanishing(params((3, 3), (2, 2, 2))) == (0, 0)
 
 
 def test_closed_form_dim_showcase():
-    b = closed_form_dim(params((1, 2), (2, 2, 2)), Variant.GUARDED)
-    assert (b.total, b.dependent, b.vanishing_first, b.vanishing_second) == (5, 1, 1, 0)
-    assert (b.first_applied, b.second_applied) == (True, False)
-    assert b.dim == 3
-    assert closed_form_dim(params((1, 2), (2, 2, 2)), Variant.SECTION44).dim == 1
-    assert closed_form_dim(params((1, 2), (2, 2, 2)), Variant.LEMMA410).dim == 2
+    c = interval_counts(params((1, 2), (2, 2, 2)))
+    assert (c.total, c.dependent_guarded, c.vanishing_first, c.vanishing_second) == (5, 1, 1, 0)
+    assert closed_form_dim(params((1, 2), (2, 2, 2)), Variant.GUARDED) == c.dim() == 3
+    assert closed_form_dim(params((1, 2), (2, 2, 2)), Variant.SECTION44) == 1
+    assert closed_form_dim(params((1, 2), (2, 2, 2)), Variant.LEMMA410) == 2
 
+    c = interval_counts(params((2, 2), (2, 3, 2)))
+    assert (c.total, c.vanishing_first, c.vanishing_second) == (27, 1, 1)
     for v in Variant:
-        b = closed_form_dim(params((2, 2), (2, 3, 2)), v)
-        assert (b.total, b.dependent) == (27, 6)
-        assert (b.vanishing_first, b.vanishing_second) == (1, 1)
-        assert (b.first_applied, b.second_applied) == (True, True)
-        assert b.dim == 19
+        assert c.dependent(v) == 6
+        assert closed_form_dim(params((2, 2), (2, 3, 2)), v) == c.dim(v) == 19
+
+
+def applied(p):
+    """Which vanishing counts the closed form subtracts: a count that applies is a binomial >= 1."""
+    counts = interval_counts(p)
+    return counts.vanishing_first > 0, counts.vanishing_second > 0
 
 
 def test_branches_follow_the_label_thresholds():
     # a1 = 1, a2 = 3: thresholds n2 >= 2 and n2 >= 4
-    for n2, applied in ((2, (True, False)), (3, (True, False)), (4, (True, True))):
-        b = closed_form_dim(FormulaParams(1, 3, 2, n2, 2))
-        assert (b.first_applied, b.second_applied) == applied
+    for n2, expected in ((2, (True, False)), (3, (True, False)), (4, (True, True))):
+        assert applied(FormulaParams(1, 3, 2, n2, 2)) == expected
     # a1 = a2 = 3: single threshold at n2 >= 4
-    for n2, applied in ((3, (False, False)), (4, (True, True))):
-        b = closed_form_dim(FormulaParams(3, 3, 2, n2, 2))
-        assert (b.first_applied, b.second_applied) == applied
+    for n2, expected in ((3, (False, False)), (4, (True, True))):
+        assert applied(FormulaParams(3, 3, 2, n2, 2)) == expected
 
 
-def test_swapped_labels_mirror_for_symmetric_variants():
-    # exchanging (a1, a2) and (n1, n3) relabels the two ball colors
-    for a1, a2, n1, n2, n3 in itertools.product((1, 2, 3), (1, 2, 3), (2, 3), (2, 3), (2, 3)):
-        p = FormulaParams(a1, a2, n1, n2, n3)
-        q = FormulaParams(a2, a1, n3, n2, n1)
-        for v in (Variant.GUARDED, Variant.LEMMA410):
-            bp, bq = closed_form_dim(p, v), closed_form_dim(q, v)
-            assert bp.dim == bq.dim
-            assert bp.total == bq.total
-            assert (bp.vanishing_first, bp.vanishing_second) == (
-                bq.vanishing_second,
-                bq.vanishing_first,
-            )
+def test_chain_reversal_mirrors_the_interval_model():
+    # reversing the chain, (a1, a2, n1, n2, n3) -> (a2, a1, n3, n2, n1), exchanges
+    # the two ball colours: every count the model defines by colour is unchanged
+    # and the two vanishing counts swap; section44's dependent shape is not
+    # symmetric in the colours, so it changes
+    section44_differs = 0
+    for a1, a2, n1, n2, n3 in itertools.product(range(1, 6), range(1, 6), *[range(2, 8)] * 3):
+        p = interval_counts(FormulaParams(a1, a2, n1, n2, n3))
+        q = interval_counts(FormulaParams(a2, a1, n3, n2, n1))
+        for field in ("total", "dependent_lemma410", "dependent_guarded", "trivial"):
+            assert getattr(p, field) == getattr(q, field), (field, a1, a2, n1, n2, n3)
+        assert p.canonical == q.canonical, (a1, a2, n1, n2, n3)
+        assert (p.vanishing_first, p.vanishing_second) == (q.vanishing_second, q.vanishing_first)
+        section44_differs += p.dependent_section44 != q.dependent_section44
+    assert section44_differs > 0
 
 
 def test_middle_branch_subtracts_the_smaller_label_count():
     # a1 > a2: for a2 + 1 <= n2 < a1 + 1 only the second count applies
-    b = closed_form_dim(FormulaParams(3, 1, 2, 2, 2))
-    assert (b.first_applied, b.second_applied) == (False, True)
-    assert b.dim == b.total - b.dependent - b.vanishing_second
+    p = FormulaParams(3, 1, 2, 2, 2)
+    assert applied(p) == (False, True)
+    c = interval_counts(p)
+    assert closed_form_dim(p) == c.total - c.dependent_guarded - c.vanishing_second
 
 
 def test_hyperbolic_specialization():
     # (a1, a2) = (1, 2) is the hyperbolic chain; GUARDED is the default variant
-    assert closed_form_dim(FormulaParams(1, 2, 2, 2, 2)).dim == 3
+    assert closed_form_dim(FormulaParams(1, 2, 2, 2, 2)) == 3
     for n in itertools.product((2, 3, 4), repeat=3):
-        assert closed_form_dim(FormulaParams(1, 2, *n)) == closed_form_dim(
-            FormulaParams(1, 2, *n), Variant.GUARDED
+        p = FormulaParams(1, 2, *n)
+        assert closed_form_dim(p) == closed_form_dim(p, Variant.GUARDED)
+        counts = interval_counts(p)
+        assert (counts.dependent(), counts.dim()) == (
+            counts.dependent_guarded,
+            counts.dim(Variant.GUARDED),
         )
 
 
 def test_breakdowns_are_deterministic():
     p = params((2, 3), (3, 4, 2))
+    assert interval_counts(p) == interval_counts(p)
     assert closed_form_dim(p) == closed_form_dim(p)
+
+
+def test_formula_imports_only_the_standard_library():
+    # the closed form stays independent of both oracles: nothing of rootmult
+    # or outside the standard library is imported by the module
+    tree = ast.parse(Path(rootmult.formula.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    outside = [name for name in imported if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, outside

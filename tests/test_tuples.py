@@ -4,26 +4,19 @@ import itertools
 
 import pytest
 
-from rootmult import (
-    FormulaParams,
-    MultiplicityTable,
-    OracleScaleError,
-    SerreQuotient,
-    Variant,
-    count_canonical,
-)
-from rootmult.formula import count_dependent, count_vanishing, total_configs
-from rootmult.tuples import (
-    CanonicalCount,
+from rootmult import FormulaParams, MultiplicityTable, OracleScaleError, SerreQuotient
+from rootmult.formula import CanonicalCount, count_canonical, interval_counts
+
+from conftest import (
     IntervalConfig,
     canonical_configs,
+    compositions,
     config_to_tuple,
     enumerate_configs,
     independent_rank_check,
     is_dependent_pattern,
     is_trivial_pattern,
 )
-from rootmult.tuples import compositions
 
 GRID_LABELS = tuple(itertools.product((1, 2, 3), repeat=2))
 GRID_WEIGHTS = tuple(itertools.product((2, 3, 4), repeat=3))
@@ -100,19 +93,6 @@ def test_config_to_tuple_layout():
     assert all(t[-1] == 2 and len(t) == 6 for t in tuples)
 
 
-def test_count_identity_total():
-    for a, n in itertools.product(GRID_LABELS, GRID_WEIGHTS):
-        p = params(a, n)
-        assert len(enumerate_configs(p)) == total_configs(p), (a, n)
-
-
-def test_count_identity_dependent():
-    for a, n in itertools.product(GRID_LABELS, GRID_WEIGHTS):
-        p = params(a, n)
-        got = sum(is_dependent_pattern(c) for c in enumerate_configs(p))
-        assert got == count_dependent(p, Variant.GUARDED), (a, n)
-
-
 def test_trivial_count_vs_closed_form_characterized():
     """The closed-form vanishing count pools the two ball colors into one
     stars-and-bars, so it matches the enumerated pattern count exactly when
@@ -123,7 +103,8 @@ def test_trivial_count_vs_closed_form_characterized():
     for a, n in itertools.product(GRID_LABELS, GRID_WEIGHTS):
         p = params(a, n)
         enumerated = sum(is_trivial_pattern(c) for c in enumerate_configs(p))
-        v1, v2 = count_vanishing(p)
+        counts = interval_counts(p)
+        v1, v2 = counts.vanishing_first, counts.vanishing_second
         closed = (v1 if p.n2 >= 1 + p.a1 else 0) + (v2 if p.n2 >= 1 + p.a2 else 0)
         # each applied side matches only when one interval absorbs the remainder
         if p.n2 <= min(p.a1, p.a2) + 1:
@@ -132,17 +113,13 @@ def test_trivial_count_vs_closed_form_characterized():
             assert enumerated > closed, (a, n)
 
 
-def test_classes_disjoint_on_grid():
-    for a, n in itertools.product(GRID_LABELS, GRID_WEIGHTS):
-        for c in enumerate_configs(params(a, n)):
-            assert not (is_trivial_pattern(c) and is_dependent_pattern(c))
-
-
-def test_rank_check_showcase(chain12, engine12):
+def test_rank_check_showcase(chain12, engine12, chain22):
     check = independent_rank_check(chain12, params((1, 2), (2, 2, 2)), engine12)
     assert check.canonical_count == 3
     assert check.rank_in_quotient <= check.oracle_mult
     assert check.oracle_mult == 1
+    check = independent_rank_check(chain22, params((2, 2), (2, 3, 2)), SerreQuotient(chain22))
+    assert check.rank_in_quotient == check.oracle_mult == 10
 
 
 def test_rank_check_finite_type(chain11):
@@ -161,16 +138,6 @@ def test_rank_check_takes_the_multiplicity_from_the_recurrence(chain12, monkeypa
     assert check.rank_in_quotient == check.oracle_mult
 
 
-def test_rank_check_rejects_another_algebra(chain12, chain22):
-    p = params((2, 2), (2, 3, 2))
-    with pytest.raises(ValueError, match=r"is not the chain \(2, 2\)"):
-        independent_rank_check(chain12, p, SerreQuotient(chain22))
-    with pytest.raises(ValueError, match="engine is built on"):
-        independent_rank_check(chain22, p, SerreQuotient(chain12))
-    check = independent_rank_check(chain22, p, SerreQuotient(chain22))
-    assert check.rank_in_quotient == check.oracle_mult == 10
-
-
 def test_rank_check_respects_cap(chain12):
     engine = SerreQuotient(chain12, height_cap=5)
     with pytest.raises(OracleScaleError):
@@ -184,12 +151,18 @@ def test_rank_sandwich_small_grid(chain12, engine12):
 
 
 def test_canonical_configs_match_counts():
-    """The closed-form count equals the enumerated classification, term by term."""
+    """The closed-form counts equal the enumerated classification, term by term.
+
+    The enumeration is the reference for the total, the guarded dependent
+    count and the canonical count; no configuration is both trivial and
+    dependent, so the two subtractions never remove one twice.
+    """
     for a, n in itertools.product(GRID_LABELS, itertools.product((2, 3, 4, 5), repeat=3)):
         p = params(a, n)
         configs = enumerate_configs(p)
         trivial = [is_trivial_pattern(c) for c in configs]
         dependent = [is_dependent_pattern(c) for c in configs]
+        assert not any(t and d for t, d in zip(trivial, dependent)), (a, n)
         canonical = sum(not t and not d for t, d in zip(trivial, dependent))
         expected = CanonicalCount(len(configs), sum(trivial), sum(dependent), canonical)
         assert count_canonical(p) == expected, (a, n)
