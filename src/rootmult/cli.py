@@ -29,7 +29,7 @@ from .freelie import (
     to_standard_form,
     weight_of,
 )
-from .gcm import GeneralizedCartanMatrix, WeightVector, query_weight, rank3_chain
+from .gcm import query_weight, rank3_chain
 from .peterson import MultiplicityTable, RecurrenceError
 from .serre import DEFAULT_HEIGHT_CAP, OracleScaleError, SerreQuotient
 
@@ -188,9 +188,9 @@ def _print_value(weight: tuple[int, ...], value: int, out: IO[str]) -> None:
     print(text, file=out)
 
 
-def _note_finite_type(algebra: GeneralizedCartanMatrix) -> None:
-    """Warn on stderr that the closed-form counts do not cover a finite-type chain."""
-    if algebra.finite_type:
+def _note_finite_type(a1: int, a2: int) -> None:
+    """Warn on stderr that the closed-form counts do not cover the finite-type (1, 1) chain."""
+    if (a1, a2) == (1, 1):
         print(
             "note: (a1, a2) = (1, 1) is finite type; the closed-form counts "
             "assume max(a1, a2) >= 2",
@@ -206,13 +206,13 @@ def _cmd_mult(args: argparse.Namespace, out: IO[str]) -> int:
     elif args.method == "quotient":
         value = SerreQuotient(algebra, height_cap=args.height_cap).multiplicity(weight)
     else:
-        params = FormulaParams(*args.gcm, *weight.coeffs)
-        _note_finite_type(algebra)
+        params = FormulaParams(*args.gcm, *weight)
+        _note_finite_type(*args.gcm)
         if args.method == "formula":
             value = closed_form_dim(params, args.variant)
         else:
             value = count_canonical(params).canonical
-    _print_value(weight.coeffs, value, out)
+    _print_value(weight, value, out)
     return EXIT_OK
 
 
@@ -240,7 +240,7 @@ def _rewrite_holds(
 
 def _cmd_rewrite(args: argparse.Namespace, out: IO[str]) -> int:
     expr = parse_bracket(args.expression)
-    lam = weight_of(expr, 3).coeffs  # generator indices must name e1, e2 or e3
+    lam = weight_of(expr, 3)  # generator indices must name e1, e2 or e3
     combo = to_standard_form(expr)
     # both expansions run before anything is printed: either may pass
     # freelie.MAX_EXPAND_WORDS
@@ -262,7 +262,6 @@ def _compare_row(
     engine: SerreQuotient,
 ) -> ComparisonRow:
     n1, n2, n3 = weight
-    lam = WeightVector(weight)
     section44: int | str
     lemma410: int | str
     guarded: int | str
@@ -276,10 +275,10 @@ def _compare_row(
         canonical = counts.canonical
     else:
         section44 = lemma410 = guarded = canonical = "n/a"
-    mult = table.multiplicity(lam)
+    mult = table.multiplicity(weight)
     quotient: int | str
-    if lam.height <= engine.height_cap:
-        quotient = engine.multiplicity(lam)
+    if sum(weight) <= engine.height_cap:
+        quotient = engine.multiplicity(weight)
         if quotient != mult:
             raise OracleDisagreement(
                 f"oracle disagreement at weight {weight}: quotient {quotient}, "
@@ -318,7 +317,8 @@ def compare_rows(
 
 def _cmd_compare(args: argparse.Namespace, out: IO[str]) -> int:
     a1, a2 = args.gcm
-    _note_finite_type(rank3_chain(a1, a2))
+    rank3_chain(a1, a2)  # bad labels exit 2 before --out is opened
+    _note_finite_type(a1, a2)
     lo, hi = args.range
 
     sink = open(args.out, "w", encoding="utf-8") if args.out else out

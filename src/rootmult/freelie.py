@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterator, Mapping, Sequence, Union
 
-from .gcm import WeightVector
+from .gcm import query_weight
 
 # A left-normed bracket [e_{t[0]}, [e_{t[1]}, [... [e_{t[-2]}, e_{t[-1]}] ...]]]
 # is encoded as the tuple t of its generator indices, outermost first.
@@ -132,7 +132,7 @@ def format_bracket(x: BracketExpr) -> str:
     return f"[{format_bracket(x.left)},{format_bracket(x.right)}]"
 
 
-def weight_of(x: BracketExpr, rank: int) -> WeightVector:
+def weight_of(x: BracketExpr, rank: int) -> tuple[int, ...]:
     """Multidegree of an expression: coefficient i counts the leaves e_{i+1}."""
     counts = [0] * rank
     stack = [x]
@@ -145,7 +145,7 @@ def weight_of(x: BracketExpr, rank: int) -> WeightVector:
         else:
             stack.append(node.left)
             stack.append(node.right)
-    return WeightVector(tuple(counts))
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +441,14 @@ def _mobius(n: int) -> int:
     return result
 
 
-def free_lie_dim(lam: WeightVector | Sequence[int]) -> int:
+def free_lie_dim(lam: Sequence[int]) -> int:
     """Dimension of the multidegree component of the free Lie algebra.
 
     Computed by the multigraded Witt formula
     (1/n) * sum over d | gcd(lam) of mu(d) * (n/d)! / prod (n_i/d)!.
     """
-    lam = WeightVector.of(lam)
-    n = lam.height
-    if n < 1:
-        raise ValueError("weight must have height >= 1")
+    lam = query_weight(None, lam)
+    n = sum(lam)
     g = 0
     for c in lam:
         g = gcd(g, c)
@@ -469,14 +467,17 @@ def free_lie_dim(lam: WeightVector | Sequence[int]) -> int:
         total += mu * ways
     dim, rem = divmod(total, n)
     if rem:
-        raise ArithmeticError(f"Witt count not divisible by height at {lam.coeffs}")
+        raise ArithmeticError(f"Witt count not divisible by height at {lam}")
     return dim
 
 
-def standard_tuples_of_weight(lam: WeightVector | Sequence[int]) -> Iterator[StandardTuple]:
-    """All standard tuples of the given multidegree, in lexicographic order."""
-    lam = WeightVector.of(lam)
-    counts = list(lam.coeffs)
+def standard_tuples_of_weight(lam: Sequence[int]) -> Iterator[StandardTuple]:
+    """All standard tuples of the given multidegree, in lexicographic order.
+
+    The multidegree is checked as :func:`free_lie_dim` checks it, so the zero
+    weight, which no bracket has, raises ``ValueError``.
+    """
+    counts = list(query_weight(None, lam))
 
     def rec(prefix: list[int]) -> Iterator[StandardTuple]:
         if not any(counts):

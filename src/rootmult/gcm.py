@@ -1,21 +1,21 @@
-"""Generalized Cartan matrices, weight vectors, and the invariant bilinear form."""
+"""Generalized Cartan matrices, the weight check, and the invariant bilinear form.
+
+A weight is a plain tuple of nonnegative ints, its coefficients over the
+simple roots; :func:`query_weight` is the one check that makes one.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 
 @dataclass(frozen=True)
 class GeneralizedCartanMatrix:
     """Integer matrix with 2s on the diagonal, nonpositive off-diagonal entries,
-    and a symmetric zero pattern.
-
-    ``chain`` carries the (a1, a2) labels when the matrix was built by
-    :func:`rank3_chain`; it is ``None`` for matrices constructed directly.
-    """
+    and a symmetric zero pattern."""
 
     entries: tuple[tuple[int, ...], ...]
-    chain: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         n = len(self.entries)
@@ -27,6 +27,10 @@ class GeneralizedCartanMatrix:
             if row[i] != 2:
                 raise ValueError(f"diagonal entry [{i}][{i}] must be 2, got {row[i]}")
             for j, v in enumerate(row):
+                try:
+                    index(v)
+                except TypeError:
+                    raise ValueError(f"entry [{i}][{j}] must be an integer, got {v!r}") from None
                 if i != j and v > 0:
                     raise ValueError(f"off-diagonal entry [{i}][{j}] must be <= 0, got {v}")
                 if (v == 0) != (self.entries[j][i] == 0):
@@ -40,15 +44,6 @@ class GeneralizedCartanMatrix:
     def is_symmetric(self) -> bool:
         n = self.rank
         return all(self.entries[i][j] == self.entries[j][i] for i in range(n) for j in range(n))
-
-    @property
-    def finite_type(self) -> bool:
-        """True only for the (1, 1) chain, whose algebra is the finite A3.
-
-        The closed-form dimension counts assume max(a1, a2) >= 2; a (1, 1) run
-        is outside that hypothesis and is only useful for sanity checks.
-        """
-        return self.chain == (1, 1)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -66,61 +61,34 @@ class GeneralizedCartanMatrix:
         )
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative integer coefficients over the simple roots."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(c < 0 for c in self.coeffs):
-            raise ValueError(f"negative coefficient in weight {self.coeffs}")
-
-    @classmethod
-    def of(cls, w: "WeightVector | Sequence[int]") -> "WeightVector":
-        if isinstance(w, WeightVector):
-            return w
-        return cls(tuple(int(c) for c in w))
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
-
-    @property
-    def rank(self) -> int:
-        return len(self.coeffs)
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i]
-
-
 def rank3_chain(a1: int, a2: int) -> GeneralizedCartanMatrix:
     """Build the 3x3 chain matrix [[2,-a1,0],[-a1,2,-a2],[0,-a2,2]].
 
-    Requires a1, a2 >= 1.  The pair (1, 1) is permitted for finite-type
-    testing and is flagged via :attr:`GeneralizedCartanMatrix.finite_type`.
+    Requires integers a1, a2 >= 1.  The pair (1, 1), the finite A3, is
+    permitted for sanity checks; the closed-form counts assume
+    max(a1, a2) >= 2.
     """
     if a1 <= 0 or a2 <= 0:
         raise ValueError(f"chain labels must be positive, got ({a1}, {a2})")
-    entries = ((2, -a1, 0), (-a1, 2, -a2), (0, -a2, 2))
-    return GeneralizedCartanMatrix(entries, chain=(a1, a2))
+    return GeneralizedCartanMatrix(((2, -a1, 0), (-a1, 2, -a2), (0, -a2, 2)))
 
 
-def query_weight(A: GeneralizedCartanMatrix, lam: WeightVector | Sequence[int]) -> WeightVector:
-    """``lam`` as a weight of A that an engine can be asked about.
+def query_weight(A: GeneralizedCartanMatrix | None, lam: Sequence[int]) -> tuple[int, ...]:
+    """``lam`` as a plain tuple of ints that an engine can be asked about.
 
-    Its length must equal the rank of A and its height must be at least 1.
+    Every coefficient must be an integer (``operator.index``, so 2.9 and '2'
+    are refused, not truncated) and none negative, the length must equal the
+    rank of A, and the height must be at least 1.  With A None, as for the
+    free Lie algebra, any length is accepted.
     """
-    lam = WeightVector.of(lam)
-    if lam.rank != A.rank:
-        raise ValueError(f"weight length {lam.rank} does not match rank {A.rank}")
-    if lam.height < 1:
+    try:
+        w = tuple(map(index, lam))
+    except TypeError:
+        raise ValueError(f"weight coefficients must be integers, got {lam!r}") from None
+    if w and min(w) < 0:
+        raise ValueError(f"negative coefficient in weight {w}")
+    if A is not None and len(w) != A.rank:
+        raise ValueError(f"weight length {len(w)} does not match rank {A.rank}")
+    if sum(w) < 1:
         raise ValueError("weight must have height >= 1")
-    return lam
-
+    return w

@@ -47,7 +47,7 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import Sequence
 
-from .gcm import GeneralizedCartanMatrix, WeightVector, query_weight
+from .gcm import GeneralizedCartanMatrix, query_weight
 
 
 class RecurrenceError(RuntimeError):
@@ -163,18 +163,18 @@ class MultiplicityTable:
             if any(mu) and mu not in self._mult:
                 self._cell(mu)
 
-    def multiplicity(self, lam: WeightVector | Sequence[int]) -> int:
+    def multiplicity(self, lam: Sequence[int]) -> int:
         """mult(lam); 0 for weights that are not roots."""
         lam = query_weight(self.algebra, lam)
-        self._ensure(lam.coeffs)
-        return self._mult[lam.coeffs]
+        self._ensure(lam)
+        return self._mult[lam]
 
-    def c_value(self, lam: WeightVector | Sequence[int]) -> Fraction:
+    def c_value(self, lam: Sequence[int]) -> Fraction:
         """The auxiliary c_lam = sum over k dividing lam of mult(lam/k)/k."""
         lam = query_weight(self.algebra, lam)
-        self._ensure(lam.coeffs)
-        return Fraction(self._cnum[lam.coeffs], self._denom)
+        self._ensure(lam)
+        return Fraction(self._cnum[lam], self._denom)
 
-    def computed(self) -> dict[WeightVector, int]:
-        """Snapshot of every memoized multiplicity."""
-        return {WeightVector(w): m for w, m in self._mult.items()}
+    def computed(self) -> dict[tuple[int, ...], int]:
+        """Snapshot of every memoized multiplicity, keyed by weight tuple."""
+        return dict(self._mult)

@@ -28,7 +28,7 @@ from .freelie import (
     ad_generator,  # noqa: F401  unused; bench/spans.py traces serre.ad_generator by name
     free_lie_dim,
 )
-from .gcm import GeneralizedCartanMatrix, WeightVector, query_weight
+from .gcm import GeneralizedCartanMatrix, query_weight
 from .linalg import EchelonBasis, Row, _axpy, _divide
 
 DEFAULT_HEIGHT_CAP = 10
@@ -101,10 +101,10 @@ class SerreQuotient:
             blocks = [(i, k) for k in range(r)]
             self._spaces[simple] = _Space(1, blocks, [{i: -1}], 1, {i: raising})
 
-    def _check_height(self, lam: WeightVector) -> None:
-        if lam.height > self.height_cap:
+    def _check_height(self, lam: tuple[int, ...]) -> None:
+        if sum(lam) > self.height_cap:
             raise OracleScaleError(
-                f"oracle scale exceeded: weight {lam.coeffs} has height {lam.height}, "
+                f"oracle scale exceeded: weight {lam} has height {sum(lam)}, "
                 f"cap is {self.height_cap}"
             )
 
@@ -205,18 +205,18 @@ class SerreQuotient:
             done[t[k:]] = vec, den
         return vec, den
 
-    def multiplicity(self, lam: WeightVector | Sequence[int]) -> int:
+    def multiplicity(self, lam: Sequence[int]) -> int:
         """dim g_lam, checked against the free Lie dimension it is a quotient of."""
         lam = query_weight(self.algebra, lam)
         self._check_height(lam)
-        mult = self._space(lam.coeffs).dim
+        mult = self._space(lam).dim
         if free_lie_dim(lam) - mult < 0:
-            raise ArithmeticError(f"root space larger than the free Lie component at {lam.coeffs}")
+            raise ArithmeticError(f"root space larger than the free Lie component at {lam}")
         return mult
 
     def standard_form_rank(
         self,
-        lam: WeightVector | Sequence[int],
+        lam: Sequence[int],
         family: Iterable[StandardTuple],
     ) -> int:
         """Dimension of the span of the given standard tuples inside g_lam.
@@ -237,11 +237,11 @@ class SerreQuotient:
                 if not 1 <= i <= rank:
                     raise ValueError(f"tuple {t}: generator index {i} outside 1..{rank}")
             degree = tuple(t.count(i + 1) for i in range(rank))
-            if degree != lam.coeffs:
-                raise ValueError(f"tuple {t} has multidegree {degree}, expected {lam.coeffs}")
+            if degree != lam:
+                raise ValueError(f"tuple {t} has multidegree {degree}, expected {lam}")
         if not family:
             return 0
-        dim = self._space(lam.coeffs).dim
+        dim = self._space(lam).dim
         basis = EchelonBasis()
         done: dict[StandardTuple, tuple[Row, int]] = {}
         for t in family:

@@ -100,7 +100,8 @@ def relation_ideal_rows(A: GeneralizedCartanMatrix, lam: tuple[int, ...]) -> lis
         rest = tuple(c - w for c, w in zip(lam, tuple_weight(s, A.rank)))
         if min(rest) < 0:
             continue
-        for prefix in standard_tuples_of_weight(rest):
+        # at the relation's own weight the one prefix is the empty one
+        for prefix in standard_tuples_of_weight(rest) if any(rest) else [()]:
             rows.append(expand_tuple(prefix + s).coeffs)
     return rows
 

@@ -161,14 +161,14 @@ def test_ac07_worked_example_report():
         "[e2,[e1,[e3,[e2,[e3,e1]]]]]",
     ]
     lam = weight_of(lhs, 3)
-    assert lam.coeffs == (2, 2, 2)
+    assert lam == (2, 2, 2)
     lhs_poly = expand_tensor(lhs)
     rhs_poly = expand_tensor(parse_bracket(rhs_terms[0]))
     for term in rhs_terms[1:]:
         rhs_poly = rhs_poly + expand_tensor(parse_bracket(term))
 
     free_equal = lhs_poly == rhs_poly
-    quotient_equal = in_relation_ideal(rank3_chain(1, 2), lam.coeffs, lhs_poly - rhs_poly)
+    quotient_equal = in_relation_ideal(rank3_chain(1, 2), lam, lhs_poly - rhs_poly)
 
     report(
         "AC-07 REPORT worked six-leaf identity: "

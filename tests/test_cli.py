@@ -355,6 +355,21 @@ def test_compare_finite_type_note(capsys):
     assert "finite type" in capsys.readouterr().err
 
 
+def test_compare_rejects_labels_before_writing(tmp_path, capsys):
+    path = tmp_path / "report.csv"
+    labels_error = "error: chain labels must be positive, got (0, 1)\n"
+    code, out = run("compare", "--gcm", "0,1", "--range", "1..2", "--out", str(path))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err == labels_error
+    assert not path.exists()
+    # without --out the report goes to stdout, which must not get the header
+    assert run("compare", "--gcm", "0,1", "--range", "1..2") == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err == labels_error
+    code, _ = run("compare", "--gcm", "1,2", "--range", "1..2", "--out", str(path))
+    assert code == 0 and path.exists()
+    assert capsys.readouterr().err == ""
+
+
 def test_mult_closed_form_finite_type_note(capsys):
     # the closed-form methods warn as compare does; stdout and the exit code stay
     for method in ("formula", "tuples"):

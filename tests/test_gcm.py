@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from rootmult import rank3_chain
-from rootmult.gcm import GeneralizedCartanMatrix, WeightVector
+from rootmult import MultiplicityTable, SerreQuotient, free_lie_dim, rank3_chain
+from rootmult.freelie import standard_tuples_of_weight
+from rootmult.gcm import GeneralizedCartanMatrix, query_weight
 
 
 def test_chain_entries():
@@ -21,14 +23,6 @@ def test_chain_rejects_nonpositive_labels():
         rank3_chain(1, -1)
 
 
-def test_finite_type_flag():
-    assert rank3_chain(1, 1).finite_type
-    assert not rank3_chain(1, 2).finite_type
-    assert not rank3_chain(2, 2).finite_type
-    direct = GeneralizedCartanMatrix(((2, -1, 0), (-1, 2, -1), (0, -1, 2)))
-    assert not direct.finite_type  # no chain metadata, no claim
-
-
 def test_matrix_invariants_enforced():
     with pytest.raises(ValueError):
         GeneralizedCartanMatrix(((1, 0), (0, 2)))  # diagonal
@@ -40,13 +34,46 @@ def test_matrix_invariants_enforced():
         GeneralizedCartanMatrix(((2, -1, 0), (-1, 2, -2)))  # not square
 
 
-def test_weight_vector_basics():
-    w = WeightVector((2, 0, 3))
-    assert w.height == 5
-    assert w.rank == 3
-    assert list(w) == [2, 0, 3]
-    with pytest.raises(ValueError):
-        WeightVector((1, -1, 0))
+def test_query_weight_returns_a_plain_tuple():
+    w = query_weight(rank3_chain(1, 2), [2, 0, 3])
+    assert type(w) is tuple and w == (2, 0, 3)
+    assert query_weight(None, [1, 1]) == (1, 1)  # no algebra: any length
+
+
+def test_query_weight_messages():
+    A = rank3_chain(1, 2)
+    for lam, message in (
+        ((1, -1, 0), "negative coefficient in weight (1, -1, 0)"),
+        ((1, 1), "weight length 2 does not match rank 3"),
+        ((0, 0, 0), "weight must have height >= 1"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            query_weight(A, lam)
+
+
+def test_engines_without_an_algebra_share_the_weight_check():
+    with pytest.raises(ValueError, match=re.escape("negative coefficient in weight (1, -1, 0)")):
+        free_lie_dim((1, -1, 0))
+    with pytest.raises(ValueError, match=re.escape("negative coefficient in weight (1, -1, 0)")):
+        list(standard_tuples_of_weight((1, -1, 0)))
+    with pytest.raises(ValueError, match=re.escape("weight must have height >= 1")):
+        list(standard_tuples_of_weight((0, 0, 0)))  # no bracket has no leaves
+
+
+def test_non_integer_input_is_refused_not_truncated():
+    A = rank3_chain(1, 2)
+    for lam in ((2.9, 3, 2), ("2", 3, 2)):
+        for engine in (MultiplicityTable(A), SerreQuotient(A)):
+            with pytest.raises(ValueError, match=re.escape(repr(lam[0]))):
+                engine.multiplicity(lam)
+    with pytest.raises(ValueError, match="2.7"):
+        free_lie_dim((2.7, 2))
+    with pytest.raises(ValueError, match="2.7"):
+        list(standard_tuples_of_weight((2.7, 2)))
+    with pytest.raises(ValueError, match="1.5"):
+        rank3_chain(1.5, 2)
+    with pytest.raises(ValueError, match="0.5"):
+        GeneralizedCartanMatrix(((2, -0.5), (-1, 2)))
 
 
 def test_symmetric_form_examples():

@@ -68,7 +68,7 @@ def test_agrees_with_quotient_small(chain11, chain12, chain22):
         table = MultiplicityTable(A)
         engine = SerreQuotient(A)
         for lam in weights_of_height(5):
-            assert table.multiplicity(lam) == engine.multiplicity(lam), (A.chain, lam)
+            assert table.multiplicity(lam) == engine.multiplicity(lam), (A.entries, lam)
 
 
 def test_fresh_tables_are_deterministic(chain12):
@@ -252,9 +252,7 @@ def filled_boxes():
         table = MultiplicityTable(rank3_chain(*chain))
         table.multiplicity((10, 10, 10))
         form = table.algebra.form
-        boxes[chain] = [
-            (w.coeffs, m, form(w.coeffs, w.coeffs)) for w, m in table.computed().items()
-        ]
+        boxes[chain] = [(w, m, form(w, w)) for w, m in table.computed().items()]
     return boxes
 
 
@@ -301,3 +299,34 @@ AFFINE_DELTAS = [
 def test_affine_subdiagram_imaginary_roots_have_multiplicity_one(filled_boxes, chain, delta):
     mults = {lam: m for lam, m, _ in filled_boxes[chain]}
     assert [mults[tuple(k * c for c in delta)] for k in range(1, 11)] == [1] * 10
+
+
+def partitions(limit: int) -> list[int]:
+    """p(0), ..., p(limit), the partition numbers, by adding one part size at a time."""
+    p = [1] + [0] * limit
+    for part in range(1, limit + 1):
+        for k in range(part, limit + 1):
+            p[k] += p[k - part]
+    return p
+
+
+def test_level_one_multiplicities_are_partition_numbers():
+    # chain (1,2) is Feingold-Frenkel's hyperbolic algebra: its level-1
+    # weights (n1 = 1) have mult p(1 - (lam, lam)/2), with p(k) = 0 for k < 0;
+    # on (2,1) the same weights read backwards, by chain reversal
+    A = rank3_chain(1, 2)
+    table = MultiplicityTable(A)
+    reversed_table = MultiplicityTable(rank3_chain(2, 1))
+    table.multiplicity((1, 40, 40))
+    reversed_table.multiplicity((40, 40, 1))
+    p = partitions(40)  # k is largest, 40, at (1, 40, 40)
+    roots = 0
+    for n2 in range(41):
+        for n3 in range(41):
+            lam = (1, n2, n3)
+            k = 1 - A.form(lam, lam) // 2
+            expected = p[k] if k >= 0 else 0
+            assert table.multiplicity(lam) == expected, lam
+            assert reversed_table.multiplicity((n3, n2, 1)) == expected, lam
+            roots += expected > 0
+    assert roots == 331

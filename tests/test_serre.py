@@ -190,7 +190,7 @@ def test_spanning_matches_quotient_dimension(chain11, chain12, chain22):
         for lam in weights_of_height(7):
             family = list(standard_tuples_of_weight(lam))
             assert engine.standard_form_rank(lam, family) == engine.multiplicity(lam), (
-                A.chain,
+                A.entries,
                 lam,
             )
 
