@@ -1,7 +1,11 @@
 """Free Lie algebra machinery: bracket expressions, tensor-algebra expansion,
 the left-normed rewriter, and multigraded dimension counts.
 
-An element in standard form is a dict from standard tuples to integers.
+A bracket expression is plain data: the leaf e_i is the int i, and the
+bracket [x, y] is the pair (x, y), so [[e1,e2],e3] is ((1, 2), 3).  A node
+is read by unpacking, ``left, right = x``, so a tuple of any other length
+raises ``ValueError``.  An element in standard form is a dict from standard
+tuples to integers.
 
 Everything here is an identity of the free Lie algebra on generators
 e_1..e_r; no defining relations of any particular algebra are applied.
@@ -9,9 +13,8 @@ The quotient by an algebra's defining relations is :mod:`rootmult.serre`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .gcm import query_weight
 
@@ -43,26 +46,7 @@ MAX_EXPAND_WORDS = 1_000_000
 # bracket expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Leaf:
-    index: int
-
-    @property
-    def length(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class Node:
-    left: "BracketExpr"
-    right: "BracketExpr"
-
-    @property
-    def length(self) -> int:
-        return self.left.length + self.right.length
-
-
-BracketExpr = Union[Leaf, Node]
+BracketExpr = Union[int, tuple["BracketExpr", "BracketExpr"]]
 
 
 class ParseError(ValueError):
@@ -107,15 +91,16 @@ def parse_bracket(text: str) -> BracketExpr:
             expect(",")
             right = expr(depth + 1)
             expect("]")
-            return Node(left, right)
+            return (left, right)
         if text[pos] == "e":
             pos += 1
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            # ASCII digits only: str.isdigit also accepts '²' and '١'
+            while pos < len(text) and "0" <= text[pos] <= "9":
                 pos += 1
             if pos == start:
                 raise ParseError("expected digits after 'e'", pos)
-            return Leaf(int(text[start:pos]))
+            return int(text[start:pos])
         raise ParseError("expected '[' or 'e'", pos)
 
     result = expr(0)
@@ -127,9 +112,10 @@ def parse_bracket(text: str) -> BracketExpr:
 
 def format_bracket(x: BracketExpr) -> str:
     """Print an expression in the same grammar the parser accepts, no whitespace."""
-    if isinstance(x, Leaf):
-        return f"e{x.index}"
-    return f"[{format_bracket(x.left)},{format_bracket(x.right)}]"
+    if isinstance(x, int):
+        return f"e{x}"
+    left, right = x
+    return f"[{format_bracket(left)},{format_bracket(right)}]"
 
 
 def weight_of(x: BracketExpr, rank: int) -> tuple[int, ...]:
@@ -138,13 +124,14 @@ def weight_of(x: BracketExpr, rank: int) -> tuple[int, ...]:
     stack = [x]
     while stack:
         node = stack.pop()
-        if isinstance(node, Leaf):
-            if not 1 <= node.index <= rank:
-                raise ValueError(f"generator index {node.index} out of range 1..{rank}")
-            counts[node.index - 1] += 1
+        if isinstance(node, int):
+            if not 1 <= node <= rank:
+                raise ValueError(f"generator index {node} out of range 1..{rank}")
+            counts[node - 1] += 1
         else:
-            stack.append(node.left)
-            stack.append(node.right)
+            left, right = node
+            stack.append(left)
+            stack.append(right)
     return tuple(counts)
 
 
@@ -152,59 +139,17 @@ def weight_of(x: BracketExpr, rank: int) -> tuple[int, ...]:
 # tensor-algebra expansion
 # ---------------------------------------------------------------------------
 
-class NcPolynomial:
-    """Sparse noncommutative polynomial: a map from generator words to integers.
+class NcPolynomial(NamedTuple):
+    """Tensor-algebra image of a Lie element under [x, y] -> xy - yx.
 
-    Words are byte strings of generator indices.  This is the substrate for
-    the embedding [x, y] -> xy - yx, which turns Lie identities into exact
-    integer linear algebra.  Zero coefficients are never stored.
+    ``coeffs`` maps words, byte strings of generator indices, to nonzero
+    integers.  Two expansions are equal exactly when their maps are.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[bytes, int] | None = None) -> None:
-        self.coeffs: dict[bytes, int] = {w: c for w, c in (coeffs or {}).items() if c}
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NcPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            v = out.get(w, 0) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-        result = NcPolynomial()
-        result.coeffs = out
-        return result
-
-    def __neg__(self) -> "NcPolynomial":
-        result = NcPolynomial()
-        result.coeffs = {w: -c for w, c in self.coeffs.items()}
-        return result
-
-    def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
-        return self + (-other)
-
-    def terms(self) -> list[tuple[bytes, int]]:
-        """Terms ordered length-first, then lexicographically."""
-        return sorted(self.coeffs.items(), key=lambda t: (len(t[0]), t[0]))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for w, c in self.terms():
-            word = "".join(str(b) for b in w)
-            parts.append(f"{'+' if c > 0 else '-'}{abs(c)}*{word}")
-        return " ".join(parts)
+    # a record rather than a bare dict only because the freelie.words_out
+    # counter of bench/spans.py, and test_package.py's
+    # test_benchmark_tracer_counts_words_configs_and_bytes, read .coeffs
+    coeffs: dict[bytes, int]
 
 
 def _ad_into(out: dict, prefix: bytes | StandardTuple, coeffs: Mapping) -> None:
@@ -230,9 +175,9 @@ def _ad_into(out: dict, prefix: bytes | StandardTuple, coeffs: Mapping) -> None:
 
 def ad_generator(i: int, p: NcPolynomial) -> NcPolynomial:
     """Commutator [e_i, p] in the tensor algebra."""
-    result = NcPolynomial()
-    _ad_into(result.coeffs, bytes([i]), p.coeffs)
-    return result
+    out: dict[bytes, int] = {}
+    _ad_into(out, bytes([i]), p.coeffs)
+    return NcPolynomial(out)
 
 
 def _expansion_limit(words: int) -> None:
@@ -261,13 +206,14 @@ def _left_quotient(coeffs: Mapping[bytes, int], a: int) -> dict[bytes, int]:
 
 
 def _tensor_words(x: BracketExpr, first: int | None) -> dict[bytes, int]:
-    if isinstance(x, Leaf):
-        if not 1 <= x.index <= 255:
-            raise ValueError(f"generator index {x.index} does not fit the word encoding")
-        words = {bytes([x.index]): 1}
+    if isinstance(x, int):
+        if not 1 <= x <= 255:
+            raise ValueError(f"generator index {x} does not fit the word encoding")
+        words = {bytes([x]): 1}
         return words if first is None else _left_quotient(words, first)
-    left = _tensor_words(x.left, None)
-    right = _tensor_words(x.right, None)
+    left, right = x
+    left = _tensor_words(left, None)
+    right = _tensor_words(right, None)
     if first is None:
         left_head, right_head = left, right
     else:
@@ -289,9 +235,7 @@ def expand_tensor(x: BracketExpr, first: int | None = None) -> NcPolynomial:
     or |a⁻¹L|*|R| + |a⁻¹R|*|L| at a quotient root, would pass
     :data:`MAX_EXPAND_WORDS`.
     """
-    result = NcPolynomial()
-    result.coeffs = _tensor_words(x, first)
-    return result
+    return NcPolynomial(_tensor_words(x, first))
 
 
 def expand_combination(
@@ -314,9 +258,8 @@ def expand_combination(
     from p·x to such a p, a⁻¹[e_a, P] = P - (a⁻¹P)·a for a full P, and
     a⁻¹[e_x, Q] = -(a⁻¹Q)·x for x ≠ a, where only a⁻¹Q is held.
     """
-    result = NcPolynomial()
     if not coeffs:
-        return result
+        return NcPolynomial({})
     n = len(next(iter(coeffs)))
     if n == 0:
         raise ValueError("empty standard tuple")
@@ -347,8 +290,7 @@ def expand_combination(
                 _product_into(out, tails, {x: 1}, -1)
             _expansion_limit(len(out))
         level = parents
-    result.coeffs = level.get((), {})
-    return result
+    return NcPolynomial(level.get((), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +333,11 @@ def to_standard_form(x: BracketExpr) -> dict[StandardTuple, int]:
 
     def rewrite(x: BracketExpr) -> dict[StandardTuple, int]:
         nonlocal spent
-        if isinstance(x, Leaf):
-            return {(x.index,): 1}
-        left = rewrite(x.left)
-        right = rewrite(x.right)
+        if isinstance(x, int):
+            return {(x,): 1}
+        left, right = x
+        left = rewrite(left)
+        right = rewrite(right)
         if not left or not right:
             return {}
         k = min(len(next(iter(left))), len(next(iter(right))))

@@ -68,6 +68,10 @@ def rank3_chain(a1: int, a2: int) -> GeneralizedCartanMatrix:
     permitted for sanity checks; the closed-form counts assume
     max(a1, a2) >= 2.
     """
+    try:
+        a1, a2 = index(a1), index(a2)
+    except TypeError:
+        raise ValueError(f"chain labels must be integers, got ({a1!r}, {a2!r})") from None
     if a1 <= 0 or a2 <= 0:
         raise ValueError(f"chain labels must be positive, got ({a1}, {a2})")
     return GeneralizedCartanMatrix(((2, -a1, 0), (-a1, 2, -a2), (0, -a2, 2)))

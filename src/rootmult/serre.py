@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 from .freelie import (
@@ -89,8 +90,11 @@ class SerreQuotient:
                 "the quotient oracle requires a symmetric Cartan matrix: the Serre "
                 "relations generate the maximal ideal only for symmetrizable A (Gabber-Kac)"
             )
+        try:
+            self.height_cap = index(height_cap)
+        except TypeError:
+            raise ValueError(f"height cap must be an integer, got {height_cap!r}") from None
         self.algebra = A
-        self.height_cap = height_cap
         r = A.rank
         zero = (0,) * r
         # g_0 is the Cartan subalgebra; [f_i, e_i] = -h_i and [e_i, h_k] = -a_ki e_i

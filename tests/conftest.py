@@ -3,16 +3,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import strategies as st
 
 from rootmult import FormulaParams, MultiplicityTable, SerreQuotient, rank3_chain
 from rootmult.freelie import (
-    Leaf,
     NcPolynomial,
-    Node,
     StandardTuple,
     expand_combination,
     standard_tuples_of_weight,
@@ -44,9 +42,14 @@ def engine12(chain12):
 def random_expr(rng: random.Random, length: int, rank: int = 3):
     """Uniform-ish random bracket expression with the given leaf count."""
     if length == 1:
-        return Leaf(rng.randint(1, rank))
+        return rng.randint(1, rank)
     split = rng.randint(1, length - 1)
-    return Node(random_expr(rng, split, rank), random_expr(rng, length - split, rank))
+    return (random_expr(rng, split, rank), random_expr(rng, length - split, rank))
+
+
+def leaf_count(x) -> int:
+    """Number of leaves of a bracket expression: ints, and pairs of expressions."""
+    return 1 if isinstance(x, int) else sum(map(leaf_count, x))
 
 
 # chains whose reversal (a2, a1) is a different algebra
@@ -64,6 +67,15 @@ def weights_up_to(height: int):
 def expand_tuple(t: tuple[int, ...]) -> NcPolynomial:
     """Tensor expansion of the left-normed bracket encoded by ``t``."""
     return expand_combination({t: 1})
+
+
+def poly_sum(terms: Iterable[tuple[int, NcPolynomial]]) -> NcPolynomial:
+    """The sum of k * p over the pairs (k, p), with zero coefficients dropped."""
+    out: dict[bytes, int] = {}
+    for k, p in terms:
+        for w, c in p.coeffs.items():
+            out[w] = out.get(w, 0) + k * c
+    return NcPolynomial({w: c for w, c in out.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ from conftest import (
     independent_rank_check,
     is_dependent_pattern,
     is_trivial_pattern,
+    leaf_count,
+    poly_sum,
     random_expr,
     stars_and_bars,
 )
@@ -69,7 +71,7 @@ def test_ac01_rewriter_soundness():
         combo = to_standard_form(expr)
         assert expand_combination(combo) == expand_tensor(expr), expr
         for t in combo:
-            assert len(t) == expr.length
+            assert len(t) == leaf_count(expr)
     elapsed = time.monotonic() - start
     report(f"AC-01 PASS rewriter soundness: 200 random expressions, {elapsed:.2f}s")
     assert elapsed <= 10.0
@@ -163,12 +165,12 @@ def test_ac07_worked_example_report():
     lam = weight_of(lhs, 3)
     assert lam == (2, 2, 2)
     lhs_poly = expand_tensor(lhs)
-    rhs_poly = expand_tensor(parse_bracket(rhs_terms[0]))
-    for term in rhs_terms[1:]:
-        rhs_poly = rhs_poly + expand_tensor(parse_bracket(term))
+    rhs_poly = poly_sum((1, expand_tensor(parse_bracket(term))) for term in rhs_terms)
 
     free_equal = lhs_poly == rhs_poly
-    quotient_equal = in_relation_ideal(rank3_chain(1, 2), lam, lhs_poly - rhs_poly)
+    quotient_equal = in_relation_ideal(
+        rank3_chain(1, 2), lam, poly_sum([(1, lhs_poly), (-1, rhs_poly)])
+    )
 
     report(
         "AC-07 REPORT worked six-leaf identity: "

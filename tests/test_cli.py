@@ -193,6 +193,12 @@ def test_rewrite_parse_error(capsys):
     assert "position" in capsys.readouterr().err
 
 
+def test_rewrite_refuses_digits_beyond_ascii(capsys):
+    for argv, position in ((("e²",), 1), (("[e1,e٢]", "--verify"), 5)):
+        assert run("rewrite", *argv) == (cli.EXIT_USAGE, "")
+        assert error_lines(capsys) == [f"error: expected digits after 'e' at position {position}"]
+
+
 def test_witt(capsys):
     assert run("witt", "--weight", "2,2,2") == (0, "14\n")
     assert run("witt", "--weight", "1,1") == (0, "1\n")

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 import rootmult.freelie as freelie
 from rootmult import ParseError, free_lie_dim, parse_bracket, to_standard_form
 from rootmult.freelie import (
-    Leaf,
     NcPolynomial,
-    Node,
     expand_combination,
     expand_tensor,
     format_bracket,
@@ -22,7 +20,7 @@ from rootmult.freelie import (
 )
 from rootmult.linalg import matrix_rank
 
-from conftest import expand_tuple, random_expr
+from conftest import expand_tuple, leaf_count, poly_sum, random_expr
 
 
 def poly(terms: dict[str, int]) -> NcPolynomial:
@@ -34,10 +32,10 @@ def poly(terms: dict[str, int]) -> NcPolynomial:
 # ---------------------------------------------------------------------------
 
 def test_parse_examples():
-    assert parse_bracket("e2") == Leaf(2)
-    assert parse_bracket("[e1,e2]") == Node(Leaf(1), Leaf(2))
+    assert parse_bracket("e2") == 2
+    assert parse_bracket("[e1,e2]") == (1, 2)
     big = parse_bracket("[[e1,e2],[[e1,e3],[e2,e3]]]")
-    assert big.length == 6
+    assert leaf_count(big) == 6
     assert weight_of(big, 3) == (2, 2, 2)
 
 
@@ -46,12 +44,12 @@ def test_parse_ignores_whitespace():
 
 
 def test_parse_stores_indices_verbatim():
-    assert parse_bracket("e12") == Leaf(12)
-    assert parse_bracket("e0") == Leaf(0)  # rejected later, at evaluation
+    assert parse_bracket("e12") == 12
+    assert parse_bracket("e0") == 0  # rejected later, at evaluation
     with pytest.raises(ValueError):
-        weight_of(Leaf(0), 3)
+        weight_of(0, 3)
     with pytest.raises(ValueError):
-        weight_of(Leaf(4), 3)
+        weight_of(4, 3)
 
 
 @pytest.mark.parametrize(
@@ -70,6 +68,29 @@ def test_parse_errors_carry_position(text, position):
         parse_bracket(text)
     assert err.value.position == position
     assert f"position {position}" in str(err.value)
+
+
+@pytest.mark.parametrize("text,position", [("e²", 1), ("e١", 1), ("[e1,e٢]", 5)])
+def test_parse_reads_only_ascii_digits(text, position):
+    # str.isdigit accepts the superscript two and the Arabic-Indic digits
+    with pytest.raises(ParseError) as err:
+        parse_bracket(text)
+    assert str(err.value) == f"expected digits after 'e' at position {position}"
+
+
+def test_trees_are_ints_and_pairs():
+    assert parse_bracket("[[e1,e2],e3]") == ((1, 2), 3)
+    assert format_bracket(((1, 2), 3)) == "[[e1,e2],e3]"
+    # a node is unpacked as (left, right): any other arity is refused, not truncated
+    for bad in ((1, 2, 3), (1,), ((1, 2, 3), 1)):
+        with pytest.raises(ValueError):
+            weight_of(bad, 3)
+        with pytest.raises(ValueError):
+            to_standard_form(bad)
+        with pytest.raises(ValueError):
+            expand_tensor(bad)
+        with pytest.raises(ValueError):
+            format_bracket(bad)
 
 
 def test_print_round_trip():
@@ -117,7 +138,10 @@ def bracket_texts(draw) -> str:
 
 
 def leaf_indices(x) -> list[int]:
-    return [x.index] if isinstance(x, Leaf) else leaf_indices(x.left) + leaf_indices(x.right)
+    if isinstance(x, int):
+        return [x]
+    left, right = x
+    return leaf_indices(left) + leaf_indices(right)
 
 
 @settings(max_examples=400, deadline=None)
@@ -131,7 +155,7 @@ def test_parser_fuzz(text):
         assert 0 <= err.position <= len(text)
         return
     assert parse_bracket(format_bracket(x)) == x
-    if x.length <= 10 and all(1 <= i <= 3 for i in leaf_indices(x)):
+    if leaf_count(x) <= 10 and all(1 <= i <= 3 for i in leaf_indices(x)):
         assert expand_combination(to_standard_form(x)) == expand_tensor(x)
 
 
@@ -156,16 +180,16 @@ def test_expansion_coefficients_sum_to_zero():
         expr = random_expr(rng, rng.randint(2, 8))
         expansion = expand_tensor(expr)
         assert sum(expansion.coeffs.values()) == 0
-        if expansion:  # [x, x] subtrees can collapse the whole expansion
+        if expansion.coeffs:  # [x, x] subtrees can collapse the whole expansion
             degree = weight_of(expr, 3)
             assert all(tuple(w.count(i) for i in (1, 2, 3)) == degree for w in expansion.coeffs)
 
 
 def right_nested(t: tuple[int, ...]):
     """The bracket tree [e_t1, [e_t2, [... e_tn]]] that the tuple ``t`` encodes."""
-    expr = Leaf(t[-1])
+    expr = t[-1]
     for a in reversed(t[:-1]):
-        expr = Node(Leaf(a), expr)
+        expr = (a, expr)
     return expr
 
 
@@ -216,18 +240,14 @@ def combinations(draw) -> tuple[dict[tuple[int, ...], int], bool]:
 @given(combinations())
 def test_expand_combination_is_the_sum_of_its_tuples(drawn):
     combo, cancelling = drawn
-    reference = NcPolynomial()
-    for t, k in combo.items():
-        reference = reference + NcPolynomial(
-            {w: k * c for w, c in expand_tuple(t).coeffs.items()}
-        )
+    reference = poly_sum((k, expand_tuple(t)) for t, k in combo.items())
     assert expand_combination(combo) == reference
     if cancelling:
-        assert not reference
+        assert not reference.coeffs
 
 
 def test_expand_empty_combination_is_zero():
-    assert expand_combination({}) == NcPolynomial()
+    assert expand_combination({}) == NcPolynomial({})
 
 
 def test_expansions_stop_past_the_word_limit(monkeypatch):
@@ -254,7 +274,7 @@ def left_quotient(p: NcPolynomial, a: int) -> NcPolynomial:
 def test_quotient_root_is_charged_its_quotient_words(monkeypatch):
     t = (1, 2) * 6
     expr = right_nested(t)
-    right = len(expand_tensor(expr.right).coeffs)
+    right = len(expand_tensor(expr[1]).coeffs)
     # the full root [e1, R] is charged 2 * 1 * |R|; the 2-quotient root only
     # |2⁻¹e1| * |R| + |2⁻¹R| * 1 = |2⁻¹R|, and every bracket below stays under
     monkeypatch.setattr(freelie, "MAX_EXPAND_WORDS", 2 * right - 1)
@@ -319,12 +339,6 @@ def test_quotient_verdict_matches_full_verdict_on_corrupted_rewrites():
             assert (expand_tensor(expr, first=a) == expand_combination(bad, first=a)) == holds
 
 
-def test_nc_polynomial_term_order_is_length_then_lex():
-    p = poly({"21": 1, "112": 2, "3": -1, "12": 1})
-    words = [w for w, _ in p.terms()]
-    assert words == [bytes([3]), bytes([1, 2]), bytes([2, 1]), bytes([1, 1, 2])]
-
-
 # ---------------------------------------------------------------------------
 # rewriting
 # ---------------------------------------------------------------------------
@@ -372,7 +386,7 @@ def test_rewriter_preserves_length():
     for _ in range(80):
         expr = random_expr(rng, rng.randint(1, 8))
         for t in to_standard_form(expr):
-            assert len(t) == expr.length
+            assert len(t) == leaf_count(expr)
 
 
 def test_rewriter_antisymmetry():
@@ -380,13 +394,13 @@ def test_rewriter_antisymmetry():
     for _ in range(80):
         u = random_expr(rng, rng.randint(1, 4))
         v = random_expr(rng, rng.randint(1, 4))
-        forward = to_standard_form(Node(u, v))
-        backward = to_standard_form(Node(v, u))
-        if u.length + v.length > 2:
+        forward = to_standard_form((u, v))
+        backward = to_standard_form((v, u))
+        if leaf_count((u, v)) > 2:
             assert forward == {t: -c for t, c in backward.items()}
         else:
             # generator pairs stay verbatim; negation holds after expansion
-            assert expand_combination(forward) == -expand_combination(backward)
+            assert expand_combination(forward) == poly_sum([(-1, expand_combination(backward))])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,12 @@ def test_chain_rejects_nonpositive_labels():
         rank3_chain(1, -1)
 
 
+def test_chain_labels_must_be_integers():
+    for a1, a2 in (("1", 2), (1, None), (2.0, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"got ({a1!r}, {a2!r})")):
+            rank3_chain(a1, a2)
+
+
 def test_matrix_invariants_enforced():
     with pytest.raises(ValueError):
         GeneralizedCartanMatrix(((1, 0), (0, 2)))  # diagonal

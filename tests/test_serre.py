@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from conftest import (
     REVERSIBLE_CHAINS,
     expand_tuple,
     in_relation_ideal,
+    poly_sum,
     relation_ideal_rows,
     serre_relations,
     tuple_weight,
@@ -131,6 +133,12 @@ def test_cap_is_loud(chain12):
         engine.multiplicity((2, 2, 1))
     with pytest.raises(ValueError):
         engine.multiplicity((0, 0, 0))
+
+
+@pytest.mark.parametrize("cap", ["5", 2.5, None])
+def test_height_cap_must_be_an_integer(chain12, cap):
+    with pytest.raises(ValueError, match=re.escape(f"height cap must be an integer, got {cap!r}")):
+        SerreQuotient(chain12, height_cap=cap)
 
 
 ENTRY_POINTS = {
@@ -294,8 +302,8 @@ def test_adjacent_one_three_swap_changes_nothing(chain12, engine12):
         assert {t[k], t[k + 1]} == {1, 3}
         swapped = swap_at(t, k)
         lam = tuple(t.count(i) for i in (1, 2, 3))
-        diff = expand_tuple(t) - expand_tuple(swapped)
-        total = expand_tuple(t) + expand_tuple(swapped)
+        diff = poly_sum([(1, expand_tuple(t)), (-1, expand_tuple(swapped))])
+        total = poly_sum([(1, expand_tuple(t)), (1, expand_tuple(swapped))])
         assert in_relation_ideal(chain12, lam, diff), t
         # rank form of the same statement
         assert engine12.standard_form_rank(lam, [t, swapped]) == engine12.standard_form_rank(
