@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import sys
-from dataclasses import dataclass, fields
-from typing import IO, Iterator
+from typing import IO, Iterator, NamedTuple
 
 from .formula import FormulaParams, Variant, closed_form_dim, count_canonical, interval_counts
 from .freelie import (
@@ -46,8 +44,7 @@ class OracleDisagreement(RuntimeError):
 COMPUTE_ERRORS = (OracleScaleError, RecurrenceError, OracleDisagreement, ArithmeticError)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One report row; the field order is the CSV column order and the JSON key order."""
 
     a1: int
@@ -63,19 +60,18 @@ class ComparisonRow:
     quotient: int | str
     agree_guarded_peterson: bool | str
 
-    # vars() holds the fields in declaration order; astuple and asdict would
-    # deep-copy every field of every row
     def csv_line(self) -> str:
         return ",".join(
-            ("true" if v else "false") if isinstance(v, bool) else str(v)
-            for v in vars(self).values()
+            ("true" if v else "false") if isinstance(v, bool) else str(v) for v in self
         )
 
     def json_line(self) -> str:
-        return json.dumps(vars(self))
+        import json  # only a JSON report loads it, which keeps it out of the CLI's start-up
+
+        return json.dumps(self._asdict())
 
 
-CSV_HEADER = ",".join(f.name for f in fields(ComparisonRow))
+CSV_HEADER = ",".join(ComparisonRow._fields)
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -333,6 +329,8 @@ def _cmd_compare(args: argparse.Namespace, out: IO[str]) -> int:
             if args.format == "csv":
                 print(f"# truncated: {exc}", file=sink)
             else:
+                import json
+
                 print(json.dumps({"truncated": str(exc)}), file=sink)
             raise
     finally:

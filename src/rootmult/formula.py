@@ -29,29 +29,37 @@ these counts configuration by configuration, is a test reference.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import comb
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class FormulaParams:
-    """Chain labels (a1, a2) and weight coefficients (n1, n2, n3), all n_i >= 2."""
-
+class _Params(NamedTuple):
     a1: int
     a2: int
     n1: int
     n2: int
     n3: int
 
-    def __post_init__(self) -> None:
-        if self.a1 < 1 or self.a2 < 1:
-            raise ValueError(f"chain labels must be >= 1, got ({self.a1}, {self.a2})")
-        if min(self.n1, self.n2, self.n3) < 2:
+
+class FormulaParams(_Params):
+    """Chain labels (a1, a2) and weight coefficients (n1, n2, n3), all n_i >= 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, a1: int, a2: int, n1: int, n2: int, n3: int) -> FormulaParams:
+        if a1 < 1 or a2 < 1:
+            raise ValueError(f"chain labels must be >= 1, got ({a1}, {a2})")
+        if min(n1, n2, n3) < 2:
             raise ValueError(
                 "closed form requires n1, n2, n3 >= 2; "
                 "use the recurrence or quotient oracle for smaller coefficients"
             )
+        return super().__new__(cls, a1, a2, n1, n2, n3)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> FormulaParams:
+        # the inherited _make, and so _replace, would build the tuple unchecked
+        return cls(*iterable)
 
 
 class Variant(str, enum.Enum):
@@ -171,8 +179,7 @@ def closed_form_dim(p: FormulaParams, variant: Variant | str = Variant.GUARDED) 
 
 
 # kept only for the benchmark's tuples.configs counter, which reads .raw
-@dataclass(frozen=True)
-class CanonicalCount:
+class CanonicalCount(NamedTuple):
     raw: int
     trivial: int
     dependent: int

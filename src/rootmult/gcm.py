@@ -5,23 +5,25 @@ simple roots; :func:`query_weight` is the one check that makes one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import Sequence
 
 
-@dataclass(frozen=True)
 class GeneralizedCartanMatrix:
     """Integer matrix with 2s on the diagonal, nonpositive off-diagonal entries,
-    and a symmetric zero pattern."""
+    and a symmetric zero pattern.
 
+    An immutable value: equal entries give equal, equally hashed matrices.
+    """
+
+    __slots__ = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        n = len(entries)
         if n == 0:
             raise ValueError("empty Cartan matrix")
-        for i, row in enumerate(self.entries):
+        for i, row in enumerate(entries):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
             if row[i] != 2:
@@ -33,8 +35,30 @@ class GeneralizedCartanMatrix:
                     raise ValueError(f"entry [{i}][{j}] must be an integer, got {v!r}") from None
                 if i != j and v > 0:
                     raise ValueError(f"off-diagonal entry [{i}][{j}] must be <= 0, got {v}")
-                if (v == 0) != (self.entries[j][i] == 0):
+                if (v == 0) != (entries[j][i] == 0):
                     raise ValueError(f"zero pattern not symmetric at [{i}][{j}]")
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(entries={self.entries!r})"
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[tuple[int, ...], ...]]]:
+        # copy and pickle rebuild through __init__, which __setattr__ leaves as the only writer
+        return type(self), (self.entries,)
 
     @property
     def rank(self) -> int:

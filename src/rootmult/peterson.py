@@ -42,12 +42,14 @@ recurrence's one in-program consistency check.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .gcm import GeneralizedCartanMatrix, query_weight
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class RecurrenceError(RuntimeError):
@@ -146,6 +148,8 @@ class MultiplicityTable:
             raise RecurrenceError(f"internal consistency failure: c-value at {lam} not exact")
         mult, rem = divmod(cnum - divisor_part, denom)
         if rem or mult < 0:
+            from fractions import Fraction
+
             raise RecurrenceError(
                 f"internal consistency failure: multiplicity at {lam} "
                 f"is {Fraction(cnum - divisor_part, denom)}"
@@ -171,6 +175,8 @@ class MultiplicityTable:
 
     def c_value(self, lam: Sequence[int]) -> Fraction:
         """The auxiliary c_lam = sum over k dividing lam of mult(lam/k)/k."""
+        from fractions import Fraction  # imported here to keep it out of the CLI's start-up
+
         lam = query_weight(self.algebra, lam)
         self._ensure(lam)
         return Fraction(self._cnum[lam], self._denom)

@@ -64,6 +64,21 @@ def weights_up_to(height: int):
     )
 
 
+class OffByOneTable(MultiplicityTable):
+    """A recurrence whose convolution at weight (1, 2, 2) is off by denom * lead.
+
+    On the (1, 2) chain that cell solves the recurrence (no (lam, alpha_i) is
+    positive), so its c-value comes out exact but one too large, and the
+    multiplicity 2 + 1/60 is not an integer.
+    """
+
+    def _convolution(self, lam: tuple[int, ...]) -> int:
+        rhs = super()._convolution(lam)
+        if lam != (1, 2, 2):
+            return rhs
+        return rhs + self._denom * (self._norm[lam] - 2 * sum(lam))
+
+
 def expand_tuple(t: tuple[int, ...]) -> NcPolynomial:
     """Tensor expansion of the left-normed bracket encoded by ``t``."""
     return expand_combination({t: 1})

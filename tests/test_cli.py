@@ -24,7 +24,7 @@ from rootmult.freelie import (
     free_lie_dim,
 )
 
-from conftest import random_expr
+from conftest import OffByOneTable, random_expr
 
 
 def run(*argv: str) -> tuple[int, str]:
@@ -452,6 +452,15 @@ def test_compare_json_truncation_marker(monkeypatch):
     )
     assert code == cli.EXIT_COMPUTE
     assert json.loads(out.splitlines()[-1])["truncated"].startswith("oracle disagreement")
+
+
+def test_mult_reports_a_non_integral_multiplicity(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MultiplicityTable", OffByOneTable)
+    code, out = run("mult", "--gcm", "1,2", "--weight", "1,2,2", "--method", "peterson")
+    assert (code, out) == (cli.EXIT_COMPUTE, "")
+    assert error_lines(capsys) == [
+        "error: internal consistency failure: multiplicity at (1, 2, 2) is 121/60"
+    ]
 
 
 def test_mult_closed_form_methods_check_the_weight(capsys):

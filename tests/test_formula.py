@@ -190,6 +190,11 @@ def test_breakdowns_are_deterministic():
     p = params((2, 3), (3, 4, 2))
     assert interval_counts(p) == interval_counts(p)
     assert closed_form_dim(p) == closed_form_dim(p)
+    # the parameters are a checked named tuple, and _replace checks again
+    assert repr(p) == "FormulaParams(a1=2, a2=3, n1=3, n2=4, n3=2)"
+    assert p == (2, 3, 3, 4, 2) and p._replace(n2=5) == params((2, 3), (3, 5, 2))
+    with pytest.raises(ValueError, match="oracle"):
+        p._replace(n2=1)
 
 
 def test_formula_imports_only_the_standard_library():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 
@@ -14,6 +16,18 @@ def test_chain_entries():
     assert rank3_chain(1, 2).entries == ((2, -1, 0), (-1, 2, -2), (0, -2, 2))
     assert rank3_chain(1, 1).entries == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
     assert rank3_chain(2, 2).entries == ((2, -2, 0), (-2, 2, -2), (0, -2, 2))
+    # a matrix is an immutable value: equal entries, equal matrices and hashes
+    A = rank3_chain(1, 2)
+    B = GeneralizedCartanMatrix(((2, -1, 0), (-1, 2, -2), (0, -2, 2)))
+    assert A == B and hash(A) == hash(B) and A is not B
+    assert A != rank3_chain(2, 1) and A != A.entries
+    assert copy.deepcopy(A) == A and pickle.loads(pickle.dumps(A)) == A
+    assert repr(A) == "GeneralizedCartanMatrix(entries=((2, -1, 0), (-1, 2, -2), (0, -2, 2)))"
+    with pytest.raises(AttributeError):
+        A.entries = ((2,),)
+    with pytest.raises(AttributeError):
+        del A.entries
+    assert A.entries == B.entries
 
 
 def test_chain_rejects_nonpositive_labels():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import importlib
 import io
+import subprocess
+import sys
 from pathlib import Path
 
 import rootmult
@@ -49,6 +51,24 @@ def test_public_names():
     assert set(rootmult.__all__) == PUBLIC
     assert len(rootmult.__all__) == len(PUBLIC)
     assert all(hasattr(rootmult, name) for name in PUBLIC)
+
+
+def test_cli_start_up_skips_the_heavy_standard_modules():
+    # every CLI call pays for the modules its import loads; compare the
+    # names, not a timing, and only new names, as site may preload some
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "before = set(sys.modules)\n"
+        "import rootmult.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "rootmult.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json"}
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rootmult import MultiplicityTable, SerreQuotient, rank3_chain
 from rootmult.gcm import GeneralizedCartanMatrix
 
-from conftest import REVERSIBLE_CHAINS, weights_up_to
+from conftest import REVERSIBLE_CHAINS, OffByOneTable, weights_up_to
 
 # the chains the Weyl-invariance test samples; (2, 2) is its own reversal
 WEYL_CHAINS = REVERSIBLE_CHAINS + ((2, 2),)
@@ -129,6 +129,16 @@ def test_inconsistent_cache_fails_loudly(chain12):
     table._cnum[(1, 1, 0)] *= 2
     with pytest.raises(RecurrenceError, match="singular"):
         table.multiplicity((2, 1, 0))
+
+
+def test_non_integral_multiplicity_fails_loudly(chain12):
+    from rootmult import RecurrenceError
+
+    message = "internal consistency failure: multiplicity at (1, 2, 2) is 121/60"
+    with pytest.raises(RecurrenceError) as raised:
+        OffByOneTable(chain12).multiplicity((1, 2, 2))
+    assert str(raised.value) == message
+    assert MultiplicityTable(chain12).multiplicity((1, 2, 2)) == 2
 
 
 def test_c_value_of_primitive_weight_is_the_multiplicity(chain12):
