@@ -224,6 +224,10 @@ def _rewrite_holds(
     every such word begins with a, so comparing the left quotients a⁻¹E is
     exact.  The letter is the one whose first position leaves the fewest
     quotient words, 2^(n-1-i) for a first occurrence at 0-based position i.
+    The combination is expanded split at the expression's root: the suffix
+    length is the leaf count m of the larger root child, since the rewriter
+    prints [L, R] as a Lie element of one child applied to the tuples of the
+    other (the split changes only the speed, never the verdict).
     """
     n = sum(lam)
     letters = range(1, len(lam) + 1)
@@ -231,7 +235,9 @@ def _rewrite_holds(
         return False
     support = [i for i in letters if lam[i - 1]]
     a = min(support, key=lambda i: sum(1 << (n - 1 - t.index(i)) for t in combo))
-    return expand_tensor(expr, first=a) == expand_combination(combo, first=a)
+    m = n if isinstance(expr, int) else sum(weight_of(expr[0], len(lam)))
+    split = max(m, n - m)
+    return expand_tensor(expr, first=a) == expand_combination(combo, first=a, split=split)
 
 
 def _cmd_rewrite(args: argparse.Namespace, out: IO[str]) -> int:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from math import comb
+from operator import index
 from typing import Iterable, NamedTuple
 
 
@@ -47,6 +48,12 @@ class FormulaParams(_Params):
     __slots__ = ()
 
     def __new__(cls, a1: int, a2: int, n1: int, n2: int, n3: int) -> FormulaParams:
+        try:
+            a1, a2, n1, n2, n3 = index(a1), index(a2), index(n1), index(n2), index(n3)
+        except TypeError:
+            raise ValueError(
+                f"closed-form parameters must be integers, got {(a1, a2, n1, n2, n3)!r}"
+            ) from None
         if a1 < 1 or a2 < 1:
             raise ValueError(f"chain labels must be >= 1, got ({a1}, {a2})")
         if min(n1, n2, n3) < 2:

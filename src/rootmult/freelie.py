@@ -35,10 +35,11 @@ MAX_BRACKET_DEPTH = 256
 MAX_REWRITE_STEPS = 1_000_000
 
 # most words one tensor expansion may hold: full expansions below the root,
-# and only the left quotient at the root when one is asked for.  The
-# alternating right-nested bracket [e1,[e2,[e1,...]]] rewrites to a single
-# tuple, yet at 24 leaves it expands to 691,126 words, and each further 2
-# leaves cost about 3.4x that
+# and only the left quotient at the root when one is asked for; a split
+# combination holds each operator, each expanded part and the sum to it.
+# The alternating right-nested bracket [e1,[e2,[e1,...]]] rewrites to a
+# single tuple, yet at 24 leaves it expands to 691,126 words, and each
+# further 2 leaves cost about 3.4x that
 MAX_EXPAND_WORDS = 1_000_000
 
 
@@ -239,7 +240,7 @@ def expand_tensor(x: BracketExpr, first: int | None = None) -> NcPolynomial:
 
 
 def expand_combination(
-    coeffs: Mapping[StandardTuple, int], first: int | None = None
+    coeffs: Mapping[StandardTuple, int], first: int | None = None, *, split: int | None = None
 ) -> NcPolynomial:
     """Tensor expansion of a combination {standard tuple: integer} of one length.
 
@@ -257,13 +258,39 @@ def expand_combination(
     sum; a prefix without a holds only the a-quotient of its sum.  Going
     from p·x to such a p, a⁻¹[e_a, P] = P - (a⁻¹P)·a for a full P, and
     a⁻¹[e_x, Q] = -(a⁻¹Q)·x for x ≠ a, where only a⁻¹Q is held.
+
+    With ``split`` = m, each tuple t of length n is read as u + s with
+    |s| = m, and E(t) = ad(e_{u1})∘…∘ad(e_{uk})(E(s)), ad(e_x)P = xP - Px.
+    The tuples are grouped by suffix s, and each group's sum of c·ad(u) is
+    expanded by the same walk into a two-sided operator {α·0·β: d}, meaning
+    the sum of d·α(·)β: it is the expansion of the tuples u + (0,), the
+    letter 0 marking where E(s) goes.  Groups that are proportional share
+    one walk.  The suffixes are then regrouped by operator word,
+    C_αβ = Σ_s d_s(α, β)·s, and each C_αβ, divided by its content with the
+    sign of its first coefficient, is expanded once per distinct value.
+    With ``first`` = a, a word whose α does not begin with a contributes
+    nothing, the others contribute α[1:]·E(C)·β, and an empty α takes the
+    a-quotient of E(C), read off E(C) when that is at hand.  The result is
+    the same for every m in 1..n; a split at the root of the tree the
+    tuples came from groups most.  The rewriter prints [L, R] as a Lie
+    element P of the shorter child applied to the longer child's tuples,
+    so every group's operator is a multiple of ad(P) = P⊗1 - 1⊗P, and
+    every C_αβ a multiple of that child's combination.  A split with fewer
+    than two letters before it runs the prefix walk, whose last level
+    already groups the tuples by their first letter.  Every operator,
+    every C_αβ's expansion and the sum are held to :data:`MAX_EXPAND_WORDS`.
     """
+    if split is None:
+        return NcPolynomial(_combination_words(coeffs, first))
+    return NcPolynomial(_split_words(coeffs, first, split))
+
+
+def _combination_words(coeffs: Mapping[StandardTuple, int], a: int | None) -> dict[bytes, int]:
     if not coeffs:
-        return NcPolynomial({})
+        return {}
     n = len(next(iter(coeffs)))
     if n == 0:
         raise ValueError("empty standard tuple")
-    a = first
     # each prefix of length n - 1 maps to the sum of k * e_{t[-1]} below it,
     # or to its a-quotient: k times the empty word when t[-1] = a
     level: dict[StandardTuple, dict[bytes, int]] = {}
@@ -290,7 +317,80 @@ def expand_combination(
                 _product_into(out, tails, {x: 1}, -1)
             _expansion_limit(len(out))
         level = parents
-    return NcPolynomial(level.get((), {}))
+    return level.get((), {})
+
+
+def _content(coeffs: Mapping) -> tuple[int, tuple]:
+    """(g, u) with coeffs = g·u: g the gcd, signed as the first coefficient, u as items."""
+    g = 0
+    for v in coeffs.values():
+        g = gcd(g, v)
+    if next(iter(coeffs.values())) < 0:
+        g = -g
+    return g, tuple((key, v // g) for key, v in coeffs.items())
+
+
+def _split_words(
+    coeffs: Mapping[StandardTuple, int], a: int | None, m: int
+) -> dict[bytes, int]:
+    if not coeffs:
+        return {}
+    n = len(next(iter(coeffs)))
+    if not 1 <= m <= n:
+        raise ValueError(f"split {m} outside 1..{n}")
+    k = n - m
+    if k < 2:
+        # the prefix walk's last level already groups the tuples by one letter
+        return _combination_words(coeffs, a)
+    groups: dict[StandardTuple, dict[StandardTuple, int]] = {}
+    for t, c in coeffs.items():
+        if len(t) != n:
+            raise ValueError("standard tuples of mixed length")
+        if 0 in t:
+            raise ValueError("generator index 0 does not fit the word encoding")
+        if c:
+            groups.setdefault(t[k:], {})[t[:k] + (0,)] = c
+    # suffixes whose groups are proportional share one operator walk
+    operators: dict[tuple, dict[StandardTuple, int]] = {}
+    for s, heads in groups.items():
+        g, unit = _content(heads)
+        operators.setdefault(unit, {})[s] = g
+    # C_αβ under its operator word α·0·β; every C lists its suffixes in the
+    # order of ``operators``, so proportional C have the same unit
+    parts: dict[bytes, dict[StandardTuple, int]] = {}
+    for unit, scales in operators.items():
+        for word, d in _combination_words(dict(unit), None).items():
+            if a is None or word[0] in (0, a):
+                part = parts.setdefault(word, {})
+                for s, g in scales.items():
+                    part[s] = d * g
+    expansions: dict[tuple, dict[bytes, int]] = {}
+    out: dict[bytes, int] = {}
+    # full expansions first: the a-quotient of a C already expanded in full
+    # is read off it
+    for word in [w for w in parts if w[0]] + [w for w in parts if not w[0]]:
+        g, unit = _content(parts[word])
+        alpha, _, beta = word.partition(b"\0")
+        quotient = None if alpha else a
+        e = expansions.get((quotient, unit))
+        if e is None:
+            full = expansions.get((None, unit))
+            if full is not None:
+                e = _left_quotient(full, quotient)
+            else:
+                e = _combination_words(dict(unit), quotient)
+            expansions[quotient, unit] = e
+        if a is not None:
+            alpha = alpha[1:]
+        for w, c in e.items():
+            key = alpha + w + beta
+            v = out.get(key, 0) + g * c
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+        _expansion_limit(len(out))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,26 @@ def leaf_count(x) -> int:
     return 1 if isinstance(x, int) else sum(map(leaf_count, x))
 
 
+def corrupted(rng: random.Random, combo: dict, degree: tuple[int, ...]) -> tuple[dict, tuple]:
+    """``combo`` with one coefficient moved by 1, one tuple dropped, or one added.
+
+    An added tuple is a random arrangement of the letters of ``degree``.
+    Returns the new combination, without zero coefficients, and the tuple
+    that changed.
+    """
+    bad = dict(combo)
+    change = rng.choice(("coefficient", "drop", "add") if bad else ("add",))
+    if change == "add":
+        letters = [i + 1 for i, c in enumerate(degree) for _ in range(c)]
+        rng.shuffle(letters)
+        t = tuple(letters)
+        bad[t] = bad.get(t, 0) + rng.choice((-1, 1))
+    else:
+        t = rng.choice(sorted(bad))
+        bad[t] = 0 if change == "drop" else bad[t] + rng.choice((-1, 1))
+    return {u: k for u, k in bad.items() if k}, t
+
+
 # chains whose reversal (a2, a1) is a different algebra
 REVERSIBLE_CHAINS = ((1, 2), (1, 3), (2, 3))
 

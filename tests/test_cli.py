@@ -20,11 +20,16 @@ from rootmult.freelie import (
     MAX_BRACKET_DEPTH,
     MAX_EXPAND_WORDS,
     MAX_REWRITE_STEPS,
+    expand_combination,
+    expand_tensor,
     format_bracket,
     free_lie_dim,
+    parse_bracket,
+    to_standard_form,
+    weight_of,
 )
 
-from conftest import OffByOneTable, random_expr
+from conftest import OffByOneTable, corrupted, random_expr
 
 
 def run(*argv: str) -> tuple[int, str]:
@@ -178,6 +183,37 @@ def test_rewrite_verify_edge_cases():
 def test_rewrite_verify_rejects_another_multidegree(monkeypatch, combo, printed):
     monkeypatch.setattr(cli, "to_standard_form", lambda expr: combo)
     assert run("rewrite", "[e1,e2]", "--verify") == (cli.EXIT_COMPUTE, printed + "MISMATCH\n")
+
+
+def test_root_split_verdict_matches_full_verdict_on_corrupted_rewrites():
+    # the combination is expanded split at the expression's root; the verdict
+    # is the full expansion's, for balanced roots and for a leaf at the root
+    rng = random.Random(20261023)
+    for n in range(11, 15):
+        for small in (n // 2, 1):
+            for _ in range(4):
+                combo = {}
+                while not combo:  # most random trees rewrite to zero
+                    sides = [random_expr(rng, small), random_expr(rng, n - small)]
+                    rng.shuffle(sides)
+                    expr = tuple(sides)
+                    combo = to_standard_form(expr)
+                lam = weight_of(expr, 3)
+                bad, _ = corrupted(rng, combo, lam)
+                assert cli._rewrite_holds(expr, lam, combo)
+                holds = expand_tensor(expr) == expand_combination(bad)
+                assert cli._rewrite_holds(expr, lam, bad) == holds
+
+
+def test_rewrite_verify_rejects_a_corrupted_heavy_combination(monkeypatch):
+    text = "[[e3,[[e3,e2],[[e3,e2],e2]]],[[[[e1,e2],e1],e2],[[e2,e3],[e1,e3]]]]"
+    bad = to_standard_form(parse_bracket(text))
+    assert len(bad) == 140
+    bad[min(bad)] += 1
+    printed = "".join(f"{'+' if c > 0 else '-'}{abs(c)}*[{','.join(map(str, t))}]\n"
+                      for t, c in sorted(bad.items()))
+    monkeypatch.setattr(cli, "to_standard_form", lambda expr: bad)
+    assert run("rewrite", text, "--verify") == (cli.EXIT_COMPUTE, printed + "MISMATCH\n")
 
 
 def test_rewrite_rejects_generator_out_of_range(capsys):

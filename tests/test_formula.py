@@ -43,6 +43,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         FormulaParams(0, 2, 2, 2, 2)
     FormulaParams(3, 1, 2, 2, 2)  # a1 > a2 is allowed
+    # operator.index refuses a float or a string rather than truncating it
+    for bad in ((1.5, 2, 2, 3, 2), ("1", 2, 2, 3, 2)):
+        with pytest.raises(ValueError, match="must be integers"):
+            FormulaParams(*bad)
 
 
 def test_total_configs_examples():

@@ -20,7 +20,7 @@ from rootmult.freelie import (
 )
 from rootmult.linalg import matrix_rank
 
-from conftest import expand_tuple, leaf_count, poly_sum, random_expr
+from conftest import corrupted, expand_tuple, leaf_count, poly_sum, random_expr
 
 
 def poly(terms: dict[str, int]) -> NcPolynomial:
@@ -304,26 +304,6 @@ def test_expand_tensor_left_quotient():
             assert expand_combination(combo, first=a) == quotient
 
 
-def corrupted(rng: random.Random, combo: dict, degree: tuple[int, ...]) -> tuple[dict, tuple]:
-    """``combo`` with one coefficient moved by 1, one tuple dropped, or one added.
-
-    An added tuple is a random arrangement of the letters of ``degree``.
-    Returns the new combination, without zero coefficients, and the tuple
-    that changed.
-    """
-    bad = dict(combo)
-    change = rng.choice(("coefficient", "drop", "add") if bad else ("add",))
-    if change == "add":
-        letters = [i + 1 for i, c in enumerate(degree) for _ in range(c)]
-        rng.shuffle(letters)
-        t = tuple(letters)
-        bad[t] = bad.get(t, 0) + rng.choice((-1, 1))
-    else:
-        t = rng.choice(sorted(bad))
-        bad[t] = 0 if change == "drop" else bad[t] + rng.choice((-1, 1))
-    return {u: k for u, k in bad.items() if k}, t
-
-
 def test_quotient_verdict_matches_full_verdict_on_corrupted_rewrites():
     # E(expr) - E(bad) is a Lie polynomial of the expression's multidegree, so
     # its a-quotient vanishes exactly when it does, for every a in the support
@@ -337,6 +317,71 @@ def test_quotient_verdict_matches_full_verdict_on_corrupted_rewrites():
         assert holds == (len(t) > 1 and t[-1] == t[-2])
         for a in (i + 1 for i, c in enumerate(degree) if c):
             assert (expand_tensor(expr, first=a) == expand_combination(bad, first=a)) == holds
+
+
+@settings(max_examples=200, deadline=None)
+@given(combinations())
+def test_split_expansion_matches_the_prefix_walk(drawn):
+    # E(u + s) = ad(e_{u1})∘…∘ad(e_{uk})(E(s)) for every split, so the split
+    # decides only how the combination is grouped
+    combo, _ = drawn
+    n = len(next(iter(combo))) if combo else 1
+    for m in range(1, n + 1):
+        assert expand_combination(combo, split=m) == expand_combination(combo)
+        for a in (1, 2, 3):
+            assert expand_combination(combo, a, split=m) == expand_combination(combo, a)
+
+
+def test_split_input_checks():
+    for m in (0, 4):
+        with pytest.raises(ValueError, match="split"):
+            expand_combination({(1, 2, 3): 1}, split=m)
+    # the letter 0 marks the operator's argument
+    with pytest.raises(ValueError, match="index 0"):
+        expand_combination({(1, 0, 3): 1}, split=1)
+
+
+def root_split_rewrites(rng: random.Random, count: int):
+    """``count`` nonzero rewrites of [L, R] with |L| < |R|, and |R|, the root split."""
+    while count:
+        n = rng.randint(5, 11)
+        m = rng.randint(n // 2 + 1, n - 2)
+        expr = (random_expr(rng, n - m), random_expr(rng, m))
+        combo = to_standard_form(expr)
+        if combo:
+            count -= 1
+            yield expr, combo, m
+
+
+def test_root_split_walks_one_operator_and_one_combination(monkeypatch):
+    # every group's operator is a multiple of ad(E(L)), and every part a
+    # multiple of R's combination: one walk for each, and an a-quotient of R
+    # read off its full expansion
+    walk = freelie._combination_words
+    calls = []
+    monkeypatch.setattr(freelie, "_combination_words", lambda c, a: calls.append(a) or walk(c, a))
+    for expr, combo, m in root_split_rewrites(random.Random(20261022), 30):
+        for a in (i + 1 for i, c in enumerate(weight_of(expr, 3)) if c):
+            calls.clear()
+            expand_combination(combo, a, split=m)
+            assert len(calls) <= 2 and calls[0] is None
+
+
+def test_split_expansion_stops_past_the_word_limit(monkeypatch):
+    expr = parse_bracket("[[e3,[[e3,e2],[[e3,e2],e2]]],[[[[e1,e2],e1],e2],[[e2,e3],[e1,e3]]]]")
+    combo = to_standard_form(expr)
+    held = []
+    limit = freelie._expansion_limit
+    monkeypatch.setattr(freelie, "_expansion_limit", lambda words: held.append(words) or limit(words))
+    expected = expand_combination(combo, 1, split=8)
+    monkeypatch.setattr(freelie, "_expansion_limit", limit)
+    largest = max(held)
+    assert largest >= len(expected.coeffs)
+    monkeypatch.setattr(freelie, "MAX_EXPAND_WORDS", largest - 1)
+    with pytest.raises(ValueError, match=f"tensor expansion exceeds {largest - 1} words"):
+        expand_combination(combo, 1, split=8)
+    monkeypatch.setattr(freelie, "MAX_EXPAND_WORDS", largest)
+    assert expand_combination(combo, 1, split=8) == expected
 
 
 # ---------------------------------------------------------------------------
