@@ -15,7 +15,7 @@ import argparse
 import functools
 import itertools
 import sys
-from typing import IO, Iterator, NamedTuple
+from typing import IO, TYPE_CHECKING, Iterator, NamedTuple
 
 from .formula import FormulaParams, Variant, closed_form_dim, count_canonical, interval_counts
 from .freelie import (
@@ -27,9 +27,11 @@ from .freelie import (
     to_standard_form,
     weight_of,
 )
-from .gcm import query_weight, rank3_chain
-from .peterson import MultiplicityTable, RecurrenceError
-from .serre import DEFAULT_HEIGHT_CAP, OracleScaleError, SerreQuotient
+from .gcm import DEFAULT_HEIGHT_CAP, OracleScaleError, RecurrenceError, query_weight, rank3_chain
+
+if TYPE_CHECKING:
+    from .peterson import MultiplicityTable
+    from .serre import SerreQuotient
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -197,9 +199,15 @@ def _note_finite_type(a1: int, a2: int) -> None:
 def _cmd_mult(args: argparse.Namespace, out: IO[str]) -> int:
     algebra = rank3_chain(*args.gcm)
     weight = query_weight(algebra, args.weight)
+    # each engine is imported by the branch that runs it, which keeps the
+    # others out of the command's start-up
     if args.method == "peterson":
+        from .peterson import MultiplicityTable
+
         value = MultiplicityTable(algebra).multiplicity(weight)
     elif args.method == "quotient":
+        from .serre import SerreQuotient
+
         value = SerreQuotient(algebra, height_cap=args.height_cap).multiplicity(weight)
     else:
         params = FormulaParams(*args.gcm, *weight)
@@ -305,6 +313,9 @@ def compare_rows(
 
     The zero weight is omitted: it is not a weight of anything.
     """
+    from .peterson import MultiplicityTable
+    from .serre import SerreQuotient
+
     algebra = rank3_chain(a1, a2)
     table = MultiplicityTable(algebra)
     engine = SerreQuotient(algebra, height_cap=height_cap)

@@ -111,14 +111,6 @@ def parse_bracket(text: str) -> BracketExpr:
     return result
 
 
-def format_bracket(x: BracketExpr) -> str:
-    """Print an expression in the same grammar the parser accepts, no whitespace."""
-    if isinstance(x, int):
-        return f"e{x}"
-    left, right = x
-    return f"[{format_bracket(left)},{format_bracket(right)}]"
-
-
 def weight_of(x: BracketExpr, rank: int) -> tuple[int, ...]:
     """Multidegree of an expression: coefficient i counts the leaves e_{i+1}."""
     counts = [0] * rank
@@ -213,8 +205,14 @@ def _tensor_words(x: BracketExpr, first: int | None) -> dict[bytes, int]:
         words = {bytes([x]): 1}
         return words if first is None else _left_quotient(words, first)
     left, right = x
+    # E([L, R]) = E(L)E(R) - E(R)E(L) vanishes with either child, so a zero
+    # child ends the bracket before its sibling is expanded
     left = _tensor_words(left, None)
+    if not left:
+        return {}
     right = _tensor_words(right, None)
+    if not right:
+        return {}
     if first is None:
         left_head, right_head = left, right
     else:
@@ -232,6 +230,8 @@ def expand_tensor(x: BracketExpr, first: int | None = None) -> NcPolynomial:
     With ``first`` = a, return only the left quotient a⁻¹E: the words that
     begin with e_a, with that letter dropped.  Only the root bracket changes,
     a⁻¹[L, R] = (a⁻¹L)·R - (a⁻¹R)·L, with L and R expanded in full.
+    A bracket with a zero child is zero, and its other child is not
+    expanded: L is expanded first, and R only when L is nonzero.
     Raises ``ValueError`` before forming a bracket whose 2*|L|*|R| words,
     or |a⁻¹L|*|R| + |a⁻¹R|*|L| at a quotient root, would pass
     :data:`MAX_EXPAND_WORDS`.

@@ -1,12 +1,26 @@
-"""Generalized Cartan matrices, the weight check, and the invariant bilinear form.
+"""Generalized Cartan matrices, the weight check, and the engines' shared errors.
 
 A weight is a plain tuple of nonnegative ints, its coefficients over the
-simple roots; :func:`query_weight` is the one check that makes one.
+simple roots; :func:`query_weight` is the one check that makes one.  The
+error classes and the quotient's default height cap live here, in the module
+every engine imports, so the command line can name them without loading an
+engine; :mod:`rootmult.serre` and :mod:`rootmult.peterson` re-export them.
 """
 from __future__ import annotations
 
 from operator import index
 from typing import Sequence
+
+# the quotient oracle's default height cap, and the CLI's --height-cap default
+DEFAULT_HEIGHT_CAP = 10
+
+
+class OracleScaleError(RuntimeError):
+    """Raised instead of silently truncating when a weight exceeds the height cap."""
+
+
+class RecurrenceError(RuntimeError):
+    """Recurrence produced an inconsistent or non-integral value: a bug, not data."""
 
 
 class GeneralizedCartanMatrix:
@@ -72,17 +86,6 @@ class GeneralizedCartanMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i][j]
-
-    def form(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """x^T A y on plain coefficient tuples, without argument checks.
-
-        For a symmetric matrix this is the invariant form (alpha_i, alpha_j) = A_ij.
-        """
-        return sum(
-            xi * sum(aij * yj for aij, yj in zip(row, y))
-            for xi, row in zip(x, self.entries)
-            if xi
-        )
 
 
 def rank3_chain(a1: int, a2: int) -> GeneralizedCartanMatrix:

@@ -1,16 +1,15 @@
 """Exact rank by fraction-free elimination on sparse integer rows.
 
 :class:`EchelonBasis` is the package's one elimination kernel: the quotient
-oracle builds every root space with it, and ``matrix_rank`` ranks any family
-of rows, such as tensor words, with it.
+oracle builds every root space with it.
 """
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 # A sparse integer vector: coordinate -> nonzero entry.  Coordinates are any
-# totally ordered keys (ints in the quotient oracle, tensor words elsewhere).
+# totally ordered keys (ints in the quotient oracle, tensor words in the tests).
 Row = dict[Any, int]
 
 
@@ -77,11 +76,3 @@ class EchelonBasis:
                 basis[p] = _divide(b, math.gcd(*b.values()))
         basis[q] = x
         return True
-
-
-def matrix_rank(rows: Iterable[Mapping[Any, int]]) -> int:
-    """Exact rank over the rationals of a family of sparse integer rows."""
-    basis = EchelonBasis()
-    for row in rows:
-        basis.insert(row)
-    return basis.rank

@@ -1,8 +1,8 @@
 """Root multiplicities by the Peterson recurrence, in exact arithmetic.
 
-For a symmetric generalized Cartan matrix with diagonal 2, the form
-(.,.) of :meth:`rootmult.gcm.GeneralizedCartanMatrix.form` and the normalization
-(rho, alpha_i) = 1 give, for every weight lam of height >= 2,
+For a symmetric generalized Cartan matrix A with diagonal 2, the invariant
+form (x, y) = x . A y on coefficient tuples, (alpha_i, alpha_j) = A_ij, and
+the normalization (rho, alpha_i) = 1 give, for every weight lam of height >= 2,
 
     ((lam, lam) - 2 (rho, lam)) * c_lam
         = sum over mu + nu = lam, mu, nu > 0 of (mu, nu) * c_mu * c_nu,
@@ -46,14 +46,10 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import TYPE_CHECKING, Sequence
 
-from .gcm import GeneralizedCartanMatrix, query_weight
+from .gcm import GeneralizedCartanMatrix, RecurrenceError, query_weight
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-class RecurrenceError(RuntimeError):
-    """Recurrence produced an inconsistent or non-integral value: a bug, not data."""
 
 
 class MultiplicityTable:

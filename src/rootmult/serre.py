@@ -29,15 +29,8 @@ from .freelie import (
     ad_generator,  # noqa: F401  unused; bench/spans.py traces serre.ad_generator by name
     free_lie_dim,
 )
-from .gcm import GeneralizedCartanMatrix, query_weight
+from .gcm import DEFAULT_HEIGHT_CAP, GeneralizedCartanMatrix, OracleScaleError, query_weight
 from .linalg import EchelonBasis, Row, _axpy, _divide
-
-DEFAULT_HEIGHT_CAP = 10
-
-
-class OracleScaleError(RuntimeError):
-    """Raised instead of silently truncating when a weight exceeds the height cap."""
-
 
 # A matrix stored as (columns, denominator): column k, divided by the
 # denominator, is the image of basis vector k.

@@ -16,7 +16,7 @@ from rootmult.freelie import (
     standard_tuples_of_weight,
 )
 from rootmult.gcm import GeneralizedCartanMatrix
-from rootmult.linalg import matrix_rank
+from rootmult.linalg import EchelonBasis
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +50,27 @@ def random_expr(rng: random.Random, length: int, rank: int = 3):
 def leaf_count(x) -> int:
     """Number of leaves of a bracket expression: ints, and pairs of expressions."""
     return 1 if isinstance(x, int) else sum(map(leaf_count, x))
+
+
+def format_bracket(x) -> str:
+    """Print an expression in the grammar parse_bracket accepts, without whitespace."""
+    if isinstance(x, int):
+        return f"e{x}"
+    left, right = x
+    return f"[{format_bracket(left)},{format_bracket(right)}]"
+
+
+def form(A: GeneralizedCartanMatrix, x, y) -> int:
+    """x^T A y on plain coefficient tuples: for a symmetric A, (alpha_i, alpha_j) = A_ij."""
+    return sum(xi * sum(aij * yj for aij, yj in zip(row, y)) for xi, row in zip(x, A.entries))
+
+
+def matrix_rank(rows: Iterable[dict]) -> int:
+    """Exact rank over the rationals of sparse integer rows, by rootmult's elimination kernel."""
+    basis = EchelonBasis()
+    for row in rows:
+        basis.insert(row)
+    return basis.rank
 
 
 def corrupted(rng: random.Random, combo: dict, degree: tuple[int, ...]) -> tuple[dict, tuple]:

@@ -32,7 +32,6 @@ from rootmult.freelie import (
     standard_tuples_of_weight,
     weight_of,
 )
-from rootmult.linalg import matrix_rank
 
 from conftest import (
     compositions,
@@ -43,6 +42,7 @@ from conftest import (
     is_dependent_pattern,
     is_trivial_pattern,
     leaf_count,
+    matrix_rank,
     poly_sum,
     random_expr,
     stars_and_bars,

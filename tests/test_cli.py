@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import rootmult.cli as cli
+import rootmult.peterson as peterson
 from rootmult import FormulaParams, OracleScaleError, RecurrenceError, Variant, closed_form_dim
 from rootmult.formula import count_canonical, interval_counts
 from rootmult.freelie import (
@@ -22,14 +23,13 @@ from rootmult.freelie import (
     MAX_REWRITE_STEPS,
     expand_combination,
     expand_tensor,
-    format_bracket,
     free_lie_dim,
     parse_bracket,
     to_standard_form,
     weight_of,
 )
 
-from conftest import OffByOneTable, corrupted, random_expr
+from conftest import OffByOneTable, corrupted, format_bracket, random_expr
 
 
 def run(*argv: str) -> tuple[int, str]:
@@ -465,7 +465,7 @@ def test_compare_oracle_disagreement_truncates(monkeypatch, capsys):
         def multiplicity(self, lam):
             return 999
 
-    monkeypatch.setattr(cli, "MultiplicityTable", LyingTable)
+    monkeypatch.setattr(peterson, "MultiplicityTable", LyingTable)
     code, out = run("compare", "--gcm", "1,2", "--range", "2..2", "--height-cap", "6")
     assert code == cli.EXIT_COMPUTE
     assert out.splitlines()[0] == cli.CSV_HEADER
@@ -481,7 +481,7 @@ def test_compare_json_truncation_marker(monkeypatch):
         def multiplicity(self, lam):
             return 999
 
-    monkeypatch.setattr(cli, "MultiplicityTable", LyingTable)
+    monkeypatch.setattr(peterson, "MultiplicityTable", LyingTable)
     code, out = run(
         "compare", "--gcm", "1,2", "--range", "2..2", "--format", "json",
         "--height-cap", "6",
@@ -491,7 +491,7 @@ def test_compare_json_truncation_marker(monkeypatch):
 
 
 def test_mult_reports_a_non_integral_multiplicity(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "MultiplicityTable", OffByOneTable)
+    monkeypatch.setattr(peterson, "MultiplicityTable", OffByOneTable)
     code, out = run("mult", "--gcm", "1,2", "--weight", "1,2,2", "--method", "peterson")
     assert (code, out) == (cli.EXIT_COMPUTE, "")
     assert error_lines(capsys) == [
@@ -597,7 +597,7 @@ def test_compare_truncates_on_every_computation_error(monkeypatch, capsys, error
         def multiplicity(self, lam):
             raise error("failed on purpose")
 
-    monkeypatch.setattr(cli, "MultiplicityTable", FailingTable)
+    monkeypatch.setattr(peterson, "MultiplicityTable", FailingTable)
     code, out = run("compare", "--gcm", "1,2", "--range", "2..2", "--height-cap", "6")
     assert code == cli.EXIT_COMPUTE
     assert out.splitlines() == [cli.CSV_HEADER, "# truncated: failed on purpose"]

@@ -14,13 +14,19 @@ from rootmult.freelie import (
     NcPolynomial,
     expand_combination,
     expand_tensor,
-    format_bracket,
     standard_tuples_of_weight,
     weight_of,
 )
-from rootmult.linalg import matrix_rank
 
-from conftest import corrupted, expand_tuple, leaf_count, poly_sum, random_expr
+from conftest import (
+    corrupted,
+    expand_tuple,
+    format_bracket,
+    leaf_count,
+    matrix_rank,
+    poly_sum,
+    random_expr,
+)
 
 
 def poly(terms: dict[str, int]) -> NcPolynomial:
@@ -281,6 +287,27 @@ def test_quotient_root_is_charged_its_quotient_words(monkeypatch):
     with pytest.raises(ValueError, match=f"exceeds {2 * right - 1} words"):
         expand_tensor(expr)
     assert expand_tensor(expr, first=2) == left_quotient(expand_tuple(t), 2)
+
+
+def test_a_zero_child_leaves_its_sibling_unexpanded(monkeypatch):
+    big = right_nested((1, 2) * 6)
+    words = len(expand_tensor(big).coeffs)
+    monkeypatch.setattr(freelie, "MAX_EXPAND_WORDS", words - 1)
+    with pytest.raises(ValueError, match=f"exceeds {words - 1} words"):
+        expand_tensor(big)
+    # [e1, e1] expands to zero, so big, past the limit, is never expanded
+    for first in (None, 1, 2):
+        assert expand_tensor(((1, 1), (2, big)), first=first) == NcPolynomial({})
+    monkeypatch.setattr(freelie, "MAX_EXPAND_WORDS", 2 * words)
+    # a zero right child: the root is never charged its product
+    held = []
+    limit = freelie._expansion_limit
+    monkeypatch.setattr(freelie, "_expansion_limit", lambda n: held.append(n) or limit(n))
+    expand_tensor(big)
+    below = list(held)
+    held.clear()
+    assert expand_tensor((big, (2, 2))) == NcPolynomial({})
+    assert held == below + [2]  # big's brackets and [e2, e2]'s, none for the root
 
 
 @settings(max_examples=200, deadline=None)

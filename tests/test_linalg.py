@@ -4,7 +4,9 @@ import math
 import random
 from fractions import Fraction
 
-from rootmult.linalg import EchelonBasis, matrix_rank
+from rootmult.linalg import EchelonBasis
+
+from conftest import matrix_rank
 
 
 def row(*pairs):

@@ -6,8 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rootmult
 import rootmult.cli as cli
+import rootmult.gcm
+import rootmult.peterson
+import rootmult.serre
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -69,6 +74,48 @@ def test_cli_start_up_skips_the_heavy_standard_modules():
     loaded = set(proc.stdout.split())
     assert "rootmult.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json"}
+
+
+ENGINES = {"rootmult.peterson", "rootmult.serre", "rootmult.linalg"}
+
+
+@pytest.mark.parametrize(
+    "argv, engines",
+    [
+        (None, set()),
+        (["rewrite", "[[e1,e2],e3]", "--verify"], set()),
+        (["witt", "--weight", "2,2,2"], set()),
+        (["mult", "--gcm", "1,2", "--weight", "2,2,2", "--method", "formula"], set()),
+        (["mult", "--gcm", "1,2", "--weight", "2,2,2", "--method", "peterson"], {"rootmult.peterson"}),
+        (
+            ["mult", "--gcm", "1,2", "--weight", "2,2,2", "--method", "quotient"],
+            {"rootmult.serre", "rootmult.linalg"},
+        ),
+        (["compare", "--gcm", "1,2", "--range", "1..2"], ENGINES),
+    ],
+)
+def test_each_command_loads_only_the_engines_it_runs(argv, engines):
+    # argv None: a bare `import rootmult`; the engines resolve on first access
+    lines = ["import rootmult"] if argv is None else [
+        "import io, rootmult.cli",
+        f"assert rootmult.cli.main({argv!r}, io.StringIO()) == 0",
+    ]
+    code = "\n".join(
+        ["import sys", f"sys.path.insert(0, {str(ROOT / 'src')!r})", *lines, "print(*sys.modules)"]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert set(proc.stdout.split()) & ENGINES == engines
+
+
+def test_engine_names_resolve_to_one_object_everywhere():
+    assert rootmult.MultiplicityTable is rootmult.peterson.MultiplicityTable
+    assert rootmult.SerreQuotient is rootmult.serre.SerreQuotient
+    assert rootmult.serre.OracleScaleError is rootmult.OracleScaleError is cli.OracleScaleError
+    assert rootmult.peterson.RecurrenceError is rootmult.RecurrenceError is cli.RecurrenceError
+    assert rootmult.serre.DEFAULT_HEIGHT_CAP == rootmult.gcm.DEFAULT_HEIGHT_CAP == 10
+    assert not hasattr(rootmult, "Missing")
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rootmult import MultiplicityTable, SerreQuotient, rank3_chain
 from rootmult.gcm import GeneralizedCartanMatrix
 
-from conftest import REVERSIBLE_CHAINS, OffByOneTable, weights_up_to
+from conftest import REVERSIBLE_CHAINS, OffByOneTable, form, weights_up_to
 
 # the chains the Weyl-invariance test samples; (2, 2) is its own reversal
 WEYL_CHAINS = REVERSIBLE_CHAINS + ((2, 2),)
@@ -202,7 +202,7 @@ def test_weyl_invariance(chain_tables, chain, weight, i):
     # below height 2 the only roots are the simple ones, which s_i sends negative
     table = chain_tables[chain]
     reflected = list(weight)
-    reflected[i] -= table.algebra.form(weight, [int(j == i) for j in range(3)])
+    reflected[i] -= form(table.algebra, weight, [int(j == i) for j in range(3)])
     expected = 0 if min(reflected) < 0 else table.multiplicity(tuple(reflected))
     assert table.multiplicity(weight) == expected
 
@@ -222,8 +222,8 @@ def test_reflected_cells_keep_the_peterson_identity(chain):
     for lam, cnum in table._cnum.items():
         if sum(lam) < 2:
             continue
-        lead = A.form(lam, lam) - 2 * sum(lam)
-        if lead and any(A.form(lam, s) > 0 for s in simples):
+        lead = form(A, lam, lam) - 2 * sum(lam)
+        if lead and any(form(A, lam, s) > 0 for s in simples):
             reflected += 1
             assert table._convolution(lam) == table._denom * lead * cnum, lam
         else:
@@ -261,8 +261,8 @@ def filled_boxes():
     for chain in THEOREM_CHAINS:
         table = MultiplicityTable(rank3_chain(*chain))
         table.multiplicity((10, 10, 10))
-        form = table.algebra.form
-        boxes[chain] = [(w, m, form(w, w)) for w, m in table.computed().items()]
+        A = table.algebra
+        boxes[chain] = [(w, m, form(A, w, w)) for w, m in table.computed().items()]
     return boxes
 
 
@@ -290,7 +290,7 @@ def test_chamber_weights_with_connected_support_are_roots(filled_boxes, chain):
     chamber = [
         (lam, m)
         for lam, m, _ in filled_boxes[chain]
-        if all(A.form(lam, s) <= 0 for s in simples) and (lam[1] or not (lam[0] and lam[2]))
+        if all(form(A, lam, s) <= 0 for s in simples) and (lam[1] or not (lam[0] and lam[2]))
     ]
     assert len(chamber) >= 50 and all(m >= 1 for _, m in chamber)
 
@@ -334,7 +334,7 @@ def test_level_one_multiplicities_are_partition_numbers():
     for n2 in range(41):
         for n3 in range(41):
             lam = (1, n2, n3)
-            k = 1 - A.form(lam, lam) // 2
+            k = 1 - form(A, lam, lam) // 2
             expected = p[k] if k >= 0 else 0
             assert table.multiplicity(lam) == expected, lam
             assert reversed_table.multiplicity((n3, n2, 1)) == expected, lam

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from rootmult import OracleScaleError, SerreQuotient, free_lie_dim, rank3_chain
 from rootmult.freelie import standard_tuples_of_weight
 from rootmult.gcm import GeneralizedCartanMatrix
-from rootmult.linalg import matrix_rank
 from rootmult.serre import _Space
 
 from conftest import (
     REVERSIBLE_CHAINS,
     expand_tuple,
     in_relation_ideal,
+    matrix_rank,
     poly_sum,
     relation_ideal_rows,
     serre_relations,
