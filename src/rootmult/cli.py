@@ -8,14 +8,21 @@ compare  grid report comparing every method; disagreement between the
          closed form and the oracles is recorded as data, never a failure;
          disagreement between the two oracles aborts with an error
 witt     free Lie algebra dimension of a multidegree
+
+The command line is read against one table (``build_parser``) that lists
+each command's flags, their value parsers and defaults, its switches and its
+positionals.  A flag takes the next token as its value, or the text after
+``--flag=``; flags are spelled in full, in any order, and a repeated flag
+keeps its last value.  ``-h`` or ``--help`` prints the usage text built from
+the table.  ``main`` returns 0, 2 (usage) or 3 (computation) for every input.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import sys
-from typing import IO, TYPE_CHECKING, Iterator, NamedTuple
+from types import SimpleNamespace
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from .formula import FormulaParams, Variant, closed_form_dim, count_canonical, interval_counts
 from .freelie import (
@@ -79,11 +86,11 @@ CSV_HEADER = ",".join(ComparisonRow._fields)
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'a1,a2', got {text!r}")
+        raise ValueError(f"expected 'a1,a2', got {text!r}")
     try:
         a1, a2 = (int(p) for p in parts)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers in {text!r}") from None
+        raise ValueError(f"expected integers in {text!r}") from None
     return a1, a2
 
 
@@ -91,21 +98,21 @@ def _parse_weight(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     parts = text.split("..")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'LO..HI', got {text!r}")
+        raise ValueError(f"expected 'LO..HI', got {text!r}")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers in {text!r}") from None
+        raise ValueError(f"expected integers in {text!r}") from None
     if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     if lo < 0:
-        raise argparse.ArgumentTypeError("weight coefficients are nonnegative")
+        raise ValueError("weight coefficients are nonnegative")
     return lo, hi
 
 
@@ -113,57 +120,10 @@ def _parse_height_cap(text: str) -> int:
     try:
         cap = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        raise ValueError(f"expected an integer, got {text!r}") from None
     if cap < 1:
-        raise argparse.ArgumentTypeError(f"height cap must be >= 1, got {cap}")
+        raise ValueError(f"height cap must be >= 1, got {cap}")
     return cap
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="rootmult",
-        description="Exact root multiplicities of rank-3 chain Kac-Moody algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    mult = sub.add_parser("mult", help="multiplicity of a single weight")
-    mult.add_argument("--gcm", type=_parse_pair, required=True, metavar="a1,a2")
-    mult.add_argument("--weight", type=_parse_weight, required=True, metavar="n1,n2,n3")
-    mult.add_argument(
-        "--method",
-        choices=("formula", "peterson", "quotient", "tuples"),
-        required=True,
-    )
-    mult.add_argument(
-        "--variant",
-        choices=tuple(v.value for v in Variant),
-        default=Variant.GUARDED.value,
-    )
-    mult.add_argument("--height-cap", type=_parse_height_cap, default=DEFAULT_HEIGHT_CAP)
-
-    rewrite = sub.add_parser("rewrite", help="rewrite a bracket expression")
-    rewrite.add_argument("expression")
-    rewrite.add_argument("--verify", action="store_true")
-
-    compare = sub.add_parser("compare", help="grid comparison report")
-    compare.add_argument("--gcm", type=_parse_pair, required=True, metavar="a1,a2")
-    compare.add_argument(
-        "--range",
-        type=_parse_range,
-        required=True,
-        metavar="LO..HI",
-        help="inclusive bounds applied to each coefficient; the zero weight is omitted",
-    )
-    compare.add_argument("--format", choices=("csv", "json"), default="csv")
-    compare.add_argument("--out", default=None, metavar="PATH")
-    compare.add_argument("--height-cap", type=_parse_height_cap, default=DEFAULT_HEIGHT_CAP)
-
-    witt = sub.add_parser("witt", help="free Lie algebra dimension of a multidegree")
-    witt.add_argument("--weight", type=_parse_weight, required=True, metavar="n1,...,nr")
-
-    return parser
 
 
 def _print_value(weight: tuple[int, ...], value: int, out: IO[str]) -> None:
@@ -196,7 +156,7 @@ def _note_finite_type(a1: int, a2: int) -> None:
         )
 
 
-def _cmd_mult(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_mult(args: SimpleNamespace, out: IO[str]) -> int:
     algebra = rank3_chain(*args.gcm)
     weight = query_weight(algebra, args.weight)
     # each engine is imported by the branch that runs it, which keeps the
@@ -248,7 +208,7 @@ def _rewrite_holds(
     return expand_tensor(expr, first=a) == expand_combination(combo, first=a, split=split)
 
 
-def _cmd_rewrite(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_rewrite(args: SimpleNamespace, out: IO[str]) -> int:
     expr = parse_bracket(args.expression)
     lam = weight_of(expr, 3)  # generator indices must name e1, e2 or e3
     combo = to_standard_form(expr)
@@ -328,7 +288,7 @@ def compare_rows(
             yield _compare_row(a1, a2, weight, table, engine)
 
 
-def _cmd_compare(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_compare(args: SimpleNamespace, out: IO[str]) -> int:
     a1, a2 = args.gcm
     rank3_chain(a1, a2)  # bad labels exit 2 before --out is opened
     _note_finite_type(a1, a2)
@@ -356,41 +316,189 @@ def _cmd_compare(args: argparse.Namespace, out: IO[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_witt(args: argparse.Namespace, out: IO[str]) -> int:
+def _cmd_witt(args: SimpleNamespace, out: IO[str]) -> int:
     _print_value(args.weight, free_lie_dim(args.weight), out)
     return EXIT_OK
 
 
-COMMANDS = {"mult": _cmd_mult, "rewrite": _cmd_rewrite, "compare": _cmd_compare, "witt": _cmd_witt}
+class Command(NamedTuple):
+    """One row of the command table.
 
-
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Write ``--flag -1,2`` as ``--flag=-1,2``.
-
-    argparse reads a value that starts with '-' as a flag unless it is a
-    plain number, so ``--weight -1,1,1`` would never reach the weight check.
+    ``options`` maps each flag that takes a value to its parser, its default
+    and the placeholder of the usage line; ``required`` lists the flags
+    without a default.  ``switches`` are flags without a value, False unless
+    given, and ``positionals`` the names of the plain arguments, each
+    required.  A flag ``--height-cap`` is read as the attribute ``height_cap``.
     """
-    out: list[str] = []
-    for arg in argv:
-        negative = arg[:1] == "-" and arg[1:2].isdigit()
-        if negative and out and out[-1][:2] == "--" and "=" not in out[-1]:
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
+
+    run: Callable[[SimpleNamespace, IO[str]], int]
+    summary: str
+    options: dict[str, tuple[Callable[[str], Any], Any, str]]
+    required: tuple[str, ...] = ()
+    switches: tuple[str, ...] = ()
+    positionals: tuple[str, ...] = ()
+
+
+def _choice(
+    choices: tuple[str, ...], default: str | None = None
+) -> tuple[Callable[[str], str], str | None, str]:
+    """The option entry of a flag whose value is one of ``choices``."""
+
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"invalid choice {text!r} (choose from {', '.join(choices)})")
+        return text
+
+    return parse, default, "{" + ",".join(choices) + "}"
+
+
+@functools.cache
+def build_parser() -> dict[str, Command]:
+    """The command table, built once per process: each command name and its :class:`Command`.
+
+    Parsing only reads it.
+    """
+    gcm = (_parse_pair, None, "a1,a2")
+    height_cap = (_parse_height_cap, DEFAULT_HEIGHT_CAP, "N")
+    return {
+        "mult": Command(
+            _cmd_mult,
+            "multiplicity of a single weight",
+            {
+                "--gcm": gcm,
+                "--weight": (_parse_weight, None, "n1,n2,n3"),
+                "--method": _choice(("formula", "peterson", "quotient", "tuples")),
+                "--variant": _choice(tuple(v.value for v in Variant), Variant.GUARDED.value),
+                "--height-cap": height_cap,
+            },
+            required=("--gcm", "--weight", "--method"),
+        ),
+        "rewrite": Command(
+            _cmd_rewrite,
+            "rewrite a bracket expression",
+            {},
+            switches=("--verify",),
+            positionals=("expression",),
+        ),
+        "compare": Command(
+            _cmd_compare,
+            "grid report over LO..HI in each coefficient, without the zero weight",
+            {
+                "--gcm": gcm,
+                "--range": (_parse_range, None, "LO..HI"),
+                "--format": _choice(("csv", "json"), "csv"),
+                "--out": (str, None, "PATH"),
+                "--height-cap": height_cap,
+            },
+            required=("--gcm", "--range"),
+        ),
+        "witt": Command(
+            _cmd_witt,
+            "free Lie algebra dimension of a multidegree",
+            {"--weight": (_parse_weight, None, "n1,...,nr")},
+            required=("--weight",),
+        ),
+    }
+
+
+_HELP = ("-h", "--help")
+
+
+def usage(name: str | None = None) -> str:
+    """The usage text of one command, or of the whole program for ``None``."""
+    table = build_parser()
+    if name is None:
+        lines = [
+            f"usage: rootmult {{{','.join(table)}}} ...",
+            "",
+            "Exact root multiplicities of rank-3 chain Kac-Moody algebras.",
+            "",
+            "commands:",
+            *(f"  {n:<8} {c.summary}" for n, c in table.items()),
+        ]
+    else:
+        command = table[name]
+        words = ["usage: rootmult", name, *command.positionals]
+        for flag, (_, _, metavar) in command.options.items():
+            words.append(f"{flag} {metavar}" if flag in command.required else f"[{flag} {metavar}]")
+        words += [f"[{flag}]" for flag in command.switches]
+        lines = [" ".join(words), "", command.summary]
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """The arguments of one command line, or the usage text it asks for with -h or --help.
+
+    A flag takes the token after it as its value, whatever that token is
+    (``--weight -1,1,1``), or the text after ``=`` (``--weight=-1,1,1``);
+    a repeated flag keeps its last value.  A usage error raises ValueError
+    naming the argument.
+    """
+    table = build_parser()
+    if not argv:
+        raise ValueError(f"missing command (choose from {', '.join(table)})")
+    name = argv[0]
+    if name in _HELP:
+        return usage()
+    command = table.get(name)
+    if command is None:
+        raise ValueError(f"invalid command {name!r} (choose from {', '.join(table)})")
+    values: dict[str, Any] = {}
+    positionals: list[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            positionals.append(token)
+            continue
+        if token in _HELP:
+            return usage(name)
+        flag, eq, value = token.partition("=")
+        if flag in command.switches:
+            if eq:
+                raise ValueError(f"argument {flag}: takes no value")
+            values[flag] = True
+            continue
+        option = command.options.get(flag)
+        if option is None:
+            raise ValueError(f"unrecognized argument {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"argument {flag}: expected a value")
+        try:
+            values[flag] = option[0](value)
+        except ValueError as exc:
+            raise ValueError(f"argument {flag}: {exc}") from None
+    if len(positionals) > len(command.positionals):
+        extra = positionals[len(command.positionals):]
+        raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+    missing = [f for f in command.required if f not in values]
+    missing += command.positionals[len(positionals):]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    args = SimpleNamespace(command=name, **dict(zip(command.positionals, positionals)))
+    for flag, (_, default, _) in command.options.items():
+        setattr(args, flag[2:].replace("-", "_"), values.get(flag, default))
+    for flag in command.switches:
+        setattr(args, flag[2:], flag in values)
+    return args
 
 
 def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    A handler raises on failure; the exception's class picks the exit code
-    and its message becomes the one line written to stderr.
+    The parse and the handler raise on failure; the exception's class picks
+    the exit code and its message becomes the one line written to stderr.
     """
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_attach_negative_values(argv))
+    out = out or sys.stdout
     try:
-        return COMMANDS[args.command](args, out or sys.stdout)
+        args = parse_args(argv)
+        if isinstance(args, str):
+            print(args, end="", file=out)
+            return EXIT_OK
+        return build_parser()[args.command].run(args, out)
     except COMPUTE_ERRORS as exc:
         code, error = EXIT_COMPUTE, exc
     except (ValueError, OSError) as exc:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import itertools
@@ -8,10 +9,13 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rootmult.cli as cli
 import rootmult.peterson as peterson
@@ -100,19 +104,17 @@ def test_height_cap_below_one_exits_2(capsys):
         ("compare", "--gcm", "1,2", "--range", "1..2"),
     ):
         for cap in ("0", "-1"):
-            with pytest.raises(SystemExit) as exc:
-                run(*argv, "--height-cap", cap)
-            assert exc.value.code == 2
+            assert run(*argv, "--height-cap", cap) == (cli.EXIT_USAGE, "")
             assert len(error_lines(capsys)) == 1
 
 
-def test_flag_errors_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        run("mult", "--gcm", "1;2", "--weight", "1,1,1", "--method", "peterson")
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run("mult", "--gcm", "1,2", "--weight", "1,1,1", "--method", "magic")
-    assert exc.value.code == 2
+def test_flag_errors_exit_2(capsys):
+    argv = ("mult", "--gcm", "1;2", "--weight", "1,1,1", "--method", "peterson")
+    assert run(*argv) == (cli.EXIT_USAGE, "")
+    assert len(error_lines(capsys)) == 1
+    argv = ("mult", "--gcm", "1,2", "--weight", "1,1,1", "--method", "magic")
+    assert run(*argv) == (cli.EXIT_USAGE, "")
+    assert len(error_lines(capsys)) == 1
 
 
 def test_cached_parser_carries_no_state_between_calls(capsys):
@@ -123,11 +125,8 @@ def test_cached_parser_carries_no_state_between_calls(capsys):
         ("mult", "--gcm", "2,2", "--weight", "1,2,1", "--method", "peterson"),
     ]
 
-    def outcome(argv: tuple[str, ...]) -> tuple[object, str, str]:
-        try:
-            result: object = run(*argv)
-        except SystemExit as exc:
-            result = ("exit", exc.code)
+    def outcome(argv: tuple[str, ...]) -> tuple[tuple[int, str], str, str]:
+        result = run(*argv)
         captured = capsys.readouterr()
         return result, captured.out, captured.err
 
@@ -139,8 +138,119 @@ def test_cached_parser_carries_no_state_between_calls(capsys):
         cli.build_parser.cache_clear()
         fresh.append(outcome(argv))
     assert warm == fresh
-    assert warm[1][0] == ("exit", 2)
+    assert warm[1][0] == (cli.EXIT_USAGE, "")
+    assert len(warm[1][2].splitlines()) == 1 and warm[1][2].startswith("error: ")
     assert warm[2][0] == (0, "+1*[1,2,3,2]\n-1*[2,1,3,2]\nVERIFIED\n")
+
+
+MULT = ("mult", "--gcm", "1,2", "--weight", "2,2,2")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ((), "missing command"),
+        (("bogus",), "'bogus'"),
+        (("witt", "--weight", "2,2", "--bogus", "1"), "'--bogus'"),
+        (("witt", "--weight"), "--weight"),
+        (MULT, "--method"),
+        (("compare", "--gcm", "1,2"), "--range"),
+        ((*MULT, "--method", "magic"), "--method"),
+        ((*MULT, "--method", "formula", "--variant", "best"), "--variant"),
+        (("compare", "--gcm", "1,2", "--range", "1..2", "--format", "xml"), "--format"),
+        (("mult", "--gcm", "1;2", "--weight", "2,2,2", "--method", "formula"), "--gcm"),
+        (("mult", "--gcm", "1,x", "--weight", "2,2,2", "--method", "formula"), "--gcm"),
+        (("witt", "--weight", "1,x"), "--weight"),
+        (("compare", "--gcm", "1,2", "--range", "1-2"), "--range"),
+        (("compare", "--gcm", "1,2", "--range", "a..b"), "--range"),
+        (("compare", "--gcm", "1,2", "--range", "2..1"), "--range"),
+        (("compare", "--gcm", "1,2", "--range", "-1..1"), "--range"),
+        ((*MULT, "--method", "quotient", "--height-cap", "x"), "--height-cap"),
+        ((*MULT, "--method", "quotient", "--height-cap", "0"), "--height-cap"),
+        (("witt", "--weight", "2,2", "extra"), "extra"),
+        (("rewrite",), "expression"),
+        (("rewrite", "e1", "e2"), "e2"),
+        (("rewrite", "e1", "--ver"), "'--ver'"),
+        (("rewrite", "e1", "--verify=yes"), "--verify"),
+        (("rewrite", "e1", "--height-cap", "3"), "'--height-cap'"),
+    ],
+)
+def test_malformed_command_lines_exit_2(capsys, argv, named):
+    assert run(*argv) == (cli.EXIT_USAGE, "")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and named in line
+
+
+def test_flags_by_equals_in_any_order_and_the_last_repeat_wins(capsys):
+    three = (0, "3\n")
+    assert run("mult", "--gcm=1,2", "--weight=2,2,2", "--method=formula") == three
+    assert run("mult", "--method", "formula", "--weight", "2,2,2", "--gcm", "1,2") == three
+    assert run(*MULT, "--method", "peterson", "--method", "formula") == three
+    assert run("mult", "--gcm", "0,2", "--gcm", "1,2", "--weight", "2,2,2", "--method", "tuples") == three
+    assert run("witt", "--weight", "1,1", "--weight=2,2,2") == (0, "14\n")
+    verified = (0, "+1*[1,2,3,2]\n-1*[2,1,3,2]\nVERIFIED\n")
+    assert run("rewrite", "--verify", "[[e1,e2],[e3,e2]]") == verified
+    assert run("rewrite", "[[e1,e2],[e3,e2]]", "--verify", "--verify") == verified
+    assert capsys.readouterr().err == ""
+    # the token after a flag is its value, so a negative weight reaches the weight check
+    for method in ("peterson", "quotient"):
+        argv = ("mult", "--gcm", "1,2", "--weight", "-1,1,1", "--method", method)
+        assert run(*argv) == (cli.EXIT_USAGE, "")
+        assert error_lines(capsys) == ["error: negative coefficient in weight (-1, 1, 1)"]
+
+
+@pytest.mark.parametrize("command", [None, *cli.build_parser()])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage_from_the_table(capsys, command, flag):
+    argv = (flag,) if command is None else (command, flag)
+    code, out = run(*argv)
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert out == cli.usage(command)
+    assert out.startswith("usage: rootmult ")
+    table = cli.build_parser()
+    if command is None:
+        assert all(f"  {name} " in out for name in table)
+    else:
+        entry = table[command]
+        assert all(word in out for word in (*entry.options, *entry.switches, *entry.positionals))
+    # help comes first wherever it stands after the command
+    if command == "mult":
+        assert run(*MULT, flag, "--method", "magic") == (0, out)
+
+
+# argv vocabulary for the exit-contract fuzz: the real commands and flags and
+# values small enough that every engine answers in milliseconds (heights up to
+# 6, ranges inside 0..2).  A word with a space is two tokens, and OUT stands
+# for a path in a fresh directory, so --out never writes anywhere else.
+FUZZ_WORDS = (
+    *("mult", "rewrite", "compare", "witt", "bogus", "-h", "--help", "-", "--", ""),
+    *("--gcm", "--weight", "--method", "--variant", "--height-cap", "--range"),
+    *("--format", "--out OUT/r.csv", "--out=OUT/x/y", "--verify", "--ver", "--verify=1"),
+    *("--gcm=1,2", "--range=0..2"),
+    *("1,2", "2,2", "2,1", "0,1", "1;2", "1,2,1", "2,2,2", "1,1,2", "-1,1,1", "0,0,0"),
+    *("1,2,1,1", "formula", "peterson", "quotient", "tuples", "magic", "guarded"),
+    *("section44", "lemma410", "csv", "json", "xml", "0..2", "1..2", "2..1", "-1..1"),
+    *("1", "3", "6", "0", "x", "e1", "e4", "[e1,e2]", "[[e1,e2],e3]", "[e1,"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(tuple(cli.build_parser())) | st.sampled_from(FUZZ_WORDS),
+    st.lists(st.sampled_from(FUZZ_WORDS), max_size=8),
+)
+def test_main_returns_an_exit_code_for_every_command_line(first, words):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [t.replace("OUT", tmp) for word in (first, *words) for t in word.split(" ")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv, io.StringIO())
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_COMPUTE)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().splitlines()[-1].startswith("error: ")
 
 
 def test_rewrite():
@@ -382,13 +492,13 @@ def test_compare_marks_small_coefficients_na():
         assert r[9].lstrip("-").isdigit()  # peterson always present
 
 
-def test_compare_omits_the_zero_weight():
+def test_compare_omits_the_zero_weight(capsys):
     code, out = run("compare", "--gcm", "1,2", "--range", "0..1", "--height-cap", "6")
     assert code == 0
     rows = out.strip().split("\n")[1:]
     assert len(rows) == 2**3 - 1
-    with pytest.raises(SystemExit):
-        run("compare", "--gcm", "1,2", "--range", "-1..1")
+    assert run("compare", "--gcm", "1,2", "--range", "-1..1") == (cli.EXIT_USAGE, "")
+    assert len(error_lines(capsys)) == 1
 
 
 def test_compare_finite_type_note(capsys):

@@ -73,7 +73,33 @@ def test_cli_start_up_skips_the_heavy_standard_modules():
     )
     loaded = set(proc.stdout.split())
     assert "rootmult.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json"}
+    heavy = {"dataclasses", "inspect", "fractions", "decimal", "json", "argparse", "gettext"}
+    assert not loaded & heavy
+
+
+def test_cli_calls_leave_locale_unloaded():
+    # argparse's gettext loads locale when a parser is built; the command
+    # table builds nothing of the kind, on success, help or a usage error
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "before = set(sys.modules)\n"
+        "import rootmult.cli\n"
+        "for argv, expected in (\n"
+        "    (['compare', '--gcm', '1,2', '--range', '1..2', '--height-cap', '6'], 0),\n"
+        "    (['compare', '--help'], 0),\n"
+        "    (['compare', '--gcm', '1,2', '--range', '1..2', '--format', 'xml'], 2),\n"
+        "):\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert rootmult.cli.main(argv, io.StringIO()) == expected, argv\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "rootmult.serre" in loaded
+    assert not loaded & {"locale", "argparse", "gettext"}
 
 
 ENGINES = {"rootmult.peterson", "rootmult.serre", "rootmult.linalg"}
