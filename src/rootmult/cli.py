@@ -195,13 +195,17 @@ def _rewrite_holds(
     The combination is expanded split at the expression's root: the suffix
     length is the leaf count m of the larger root child, since the rewriter
     prints [L, R] as a Lie element of one child applied to the tuples of the
-    other (the split changes only the speed, never the verdict).
+    other (the split changes only the speed, never the verdict).  An empty
+    combination holds exactly when a⁻¹E(expr) is zero for the smallest
+    letter a of supp(lam): one expansion, with no split and no letter choice.
     """
     n = sum(lam)
     letters = range(1, len(lam) + 1)
+    support = [i for i in letters if lam[i - 1]]
+    if not combo:
+        return not expand_tensor(expr, first=support[0]).coeffs
     if any(len(t) != n or tuple(map(t.count, letters)) != lam for t in combo):
         return False
-    support = [i for i in letters if lam[i - 1]]
     a = min(support, key=lambda i: sum(1 << (n - 1 - t.index(i)) for t in combo))
     m = n if isinstance(expr, int) else sum(weight_of(expr[0], len(lam)))
     split = max(m, n - m)

@@ -22,9 +22,11 @@ from .gcm import query_weight
 # is encoded as the tuple t of its generator indices, outermost first.
 StandardTuple = tuple[int, ...]
 
-# deepest bracket nesting parse_bracket accepts; the parser, the rewriter and
-# the tensor expansion all recurse once per level (the rewriter's expansion
-# of one tuple recurses once per letter, about 21 deep at MAX_REWRITE_STEPS)
+# deepest bracket nesting parse_bracket accepts.  The parser keeps its own
+# stack, but the rewriter and the tensor expansion recurse once per level, so
+# this limit keeps them inside the interpreter's recursion limit (the
+# rewriter's expansion of one tuple recurses once per letter, about 21 deep
+# at MAX_REWRITE_STEPS)
 MAX_BRACKET_DEPTH = 256
 
 # most steps one to_standard_form call may be charged; a bracket is charged
@@ -63,52 +65,56 @@ def parse_bracket(text: str) -> BracketExpr:
 
     Whitespace is insignificant.  Generator indices are stored verbatim;
     range checking happens at evaluation time.  Nesting deeper than
-    :data:`MAX_BRACKET_DEPTH` is a :class:`ParseError`.
+    :data:`MAX_BRACKET_DEPTH` is a :class:`ParseError`.  The text is read in
+    one left-to-right scan: ``pending`` holds one entry per unclosed bracket,
+    ``None`` until its left child is read and that child after.
     """
+    end = len(text)
     pos = 0
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text) or text[pos] != ch:
-            raise ParseError(f"expected '{ch}'", pos)
-        pos += 1
-
-    def expr(depth: int) -> BracketExpr:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            raise ParseError("unexpected end of input", pos)
-        if text[pos] == "[":
-            if depth == MAX_BRACKET_DEPTH:
-                raise ParseError(f"brackets nested deeper than {MAX_BRACKET_DEPTH}", pos)
-            pos += 1
-            left = expr(depth + 1)
-            expect(",")
-            right = expr(depth + 1)
-            expect("]")
-            return (left, right)
-        if text[pos] == "e":
-            pos += 1
-            start = pos
-            # ASCII digits only: str.isdigit also accepts '²' and '١'
-            while pos < len(text) and "0" <= text[pos] <= "9":
+    pending: list[BracketExpr | None] = []
+    while True:
+        # an expression: open brackets down to its leftmost leaf
+        while True:
+            while pos < end and text[pos].isspace():
                 pos += 1
-            if pos == start:
-                raise ParseError("expected digits after 'e'", pos)
-            return int(text[start:pos])
-        raise ParseError("expected '[' or 'e'", pos)
-
-    result = expr(0)
-    skip_ws()
-    if pos != len(text):
-        raise ParseError("trailing input", pos)
-    return result
+            if pos == end:
+                raise ParseError("unexpected end of input", pos)
+            ch = text[pos]
+            if ch == "e":
+                break
+            if ch != "[":
+                raise ParseError("expected '[' or 'e'", pos)
+            if len(pending) == MAX_BRACKET_DEPTH:
+                raise ParseError(f"brackets nested deeper than {MAX_BRACKET_DEPTH}", pos)
+            pending.append(None)
+            pos += 1
+        pos += 1
+        start = pos
+        # ASCII digits only: str.isdigit also accepts '²' and '١'
+        while pos < end and "0" <= text[pos] <= "9":
+            pos += 1
+        if pos == start:
+            raise ParseError("expected digits after 'e'", pos)
+        value: BracketExpr = int(text[start:pos])
+        # close every bracket whose right child this completes, then read
+        # the right child of the innermost one still open
+        while True:
+            while pos < end and text[pos].isspace():
+                pos += 1
+            if not pending:
+                if pos != end:
+                    raise ParseError("trailing input", pos)
+                return value
+            if pending[-1] is None:
+                if pos == end or text[pos] != ",":
+                    raise ParseError("expected ','", pos)
+                pending[-1] = value
+                pos += 1
+                break
+            if pos == end or text[pos] != "]":
+                raise ParseError("expected ']'", pos)
+            value = (pending.pop(), value)
+            pos += 1
 
 
 def weight_of(x: BracketExpr, rank: int) -> tuple[int, ...]:
@@ -415,7 +421,10 @@ def to_standard_form(x: BracketExpr) -> dict[StandardTuple, int]:
     after expansion).  Before its pairs run, a bracket is charged
     |left| * |right| * 2^(k-1), its worst-case output words for children of
     tuple lengths k and longer; a rewrite charged more than
-    :data:`MAX_REWRITE_STEPS` in all raises ``ValueError``.
+    :data:`MAX_REWRITE_STEPS` in all raises ``ValueError``.  The left child
+    is rewritten first, and a bracket whose left child rewrites to zero is
+    zero at once: its right child is neither rewritten nor charged.  A zero
+    right child is found only after the left child is rewritten and charged.
     """
     expansions: dict[StandardTuple, dict[StandardTuple, int]] = {}
     spent = 0
@@ -437,8 +446,10 @@ def to_standard_form(x: BracketExpr) -> dict[StandardTuple, int]:
             return {(x,): 1}
         left, right = x
         left = rewrite(left)
+        if not left:
+            return {}
         right = rewrite(right)
-        if not left or not right:
+        if not right:
             return {}
         k = min(len(next(iter(left))), len(next(iter(right))))
         spent += len(left) * len(right) << (k - 1)

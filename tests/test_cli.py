@@ -672,6 +672,37 @@ def test_rewrite_step_limit(capsys):
     assert elapsed < 1.0
 
 
+def test_a_zero_left_child_ends_the_rewrite(capsys):
+    # [e1,e1] rewrites to zero, so the depth-5 tree beside it, refused alone
+    # at its root bracket, is never rewritten or charged
+    start = time.monotonic()
+    assert run("rewrite", f"[[e1,e1],{balanced_bracket(5)}]") == (0, "")
+    assert run("rewrite", f"[[e1,e1],{balanced_bracket(5)}]", "--verify") == (0, "VERIFIED\n")
+    assert time.monotonic() - start < 1.0
+    # the left child is rewritten first: a zero right child comes too late
+    assert run("rewrite", f"[{balanced_bracket(5)},[e1,e1]]", "--verify") == (cli.EXIT_USAGE, "")
+    assert error_lines(capsys) == [
+        f"error: rewrite takes more than {MAX_REWRITE_STEPS} bracket steps"
+    ]
+
+
+def test_an_empty_rewrite_is_verified_by_one_expansion(monkeypatch):
+    rng = random.Random(20261025)
+    verdicts = {True: set(), False: set()}
+    for _ in range(300):
+        expr = random_expr(rng, rng.randint(2, 10))
+        lam = weight_of(expr, 3)
+        text = format_bracket(expr)
+        paired = any(f"[e{i},e{i}]" in text for i in (1, 2, 3))
+        holds = cli._rewrite_holds(expr, lam, {})
+        assert holds == (not expand_tensor(expr).coeffs)
+        verdicts[paired].add(holds)
+    # trees with an [ei,ei] pair are zero; trees without one are zero or not
+    assert verdicts == {True: {True}, False: {True, False}}
+    monkeypatch.setattr(cli, "to_standard_form", lambda expr: {})
+    assert run("rewrite", "[e1,e2]", "--verify") == (cli.EXIT_COMPUTE, "MISMATCH\n")
+
+
 def alternating_bracket(leaves: int) -> str:
     """Right-nested [e1,[e2,[e1,...]]]: one standard tuple, 2^(leaves-1) words at most."""
     expr = f"e{2 - leaves % 2}"

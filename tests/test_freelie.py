@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +86,47 @@ def test_parse_reads_only_ascii_digits(text, position):
     with pytest.raises(ParseError) as err:
         parse_bracket(text)
     assert str(err.value) == f"expected digits after 'e' at position {position}"
+
+
+NESTING_PROBE = """
+import sys
+from rootmult.freelie import MAX_BRACKET_DEPTH, ParseError, parse_bracket
+
+shapes = {
+    "right": (1, lambda d: "[e1," * d + "e2" + "]" * d),
+    "left": (0, lambda d: "[" * d + "e1" + ",e2]" * d),
+}
+sys.setrecursionlimit(100)
+for name, (side, text) in shapes.items():
+    x, depth = parse_bracket(text(MAX_BRACKET_DEPTH)), 0
+    while not isinstance(x, int):
+        x, depth = x[side], depth + 1
+    try:
+        parse_bracket(text(MAX_BRACKET_DEPTH + 1))
+    except ParseError as err:
+        print(name, depth, err)
+"""
+
+
+def test_parse_keeps_deep_nesting_off_the_call_stack():
+    # a fresh interpreter whose recursion limit is far below MAX_BRACKET_DEPTH
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", NESTING_PROBE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    depth = freelie.MAX_BRACKET_DEPTH
+    refused = f"brackets nested deeper than {depth} at position"
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # one level deeper is refused at its innermost '['
+    assert proc.stdout.splitlines() == [
+        f"right {depth} {refused} {4 * depth}",
+        f"left {depth} {refused} {depth}",
+    ]
 
 
 def test_trees_are_ints_and_pairs():
