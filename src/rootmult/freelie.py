@@ -14,7 +14,7 @@ The quotient by an algebra's defining relations is :mod:`rootmult.serre`.
 from __future__ import annotations
 
 from math import comb, gcd
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .gcm import query_weight
 
@@ -523,27 +523,3 @@ def free_lie_dim(lam: Sequence[int]) -> int:
     if rem:
         raise ArithmeticError(f"Witt count not divisible by height at {lam}")
     return dim
-
-
-def standard_tuples_of_weight(lam: Sequence[int]) -> Iterator[StandardTuple]:
-    """All standard tuples of the given multidegree, in lexicographic order.
-
-    The multidegree is checked as :func:`free_lie_dim` checks it, so the zero
-    weight, which no bracket has, raises ``ValueError``.
-    """
-    counts = list(query_weight(None, lam))
-
-    def rec(prefix: list[int]) -> Iterator[StandardTuple]:
-        if not any(counts):
-            yield tuple(prefix)
-            return
-        for i, c in enumerate(counts):
-            if c == 0:
-                continue
-            counts[i] -= 1
-            prefix.append(i + 1)
-            yield from rec(prefix)
-            prefix.pop()
-            counts[i] += 1
-
-    yield from rec([])

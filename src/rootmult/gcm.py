@@ -1,10 +1,11 @@
 """Generalized Cartan matrices, the weight check, and the engines' shared errors.
 
-A weight is a plain tuple of nonnegative ints, its coefficients over the
-simple roots; :func:`query_weight` is the one check that makes one.  The
-error classes and the quotient's default height cap live here, in the module
-every engine imports, so the command line can name them without loading an
-engine; :mod:`rootmult.serre` and :mod:`rootmult.peterson` re-export them.
+A generalized Cartan matrix is a plain tuple of rows of ints, and a weight a
+plain tuple of nonnegative ints over the simple roots; :func:`cartan_matrix`
+and :func:`query_weight` are the one checks that make them.  The error
+classes and the quotient's default height cap live here, in the module every
+engine imports, so the command line can name them without loading an engine;
+:mod:`rootmult.serre` and :mod:`rootmult.peterson` re-export them.
 """
 from __future__ import annotations
 
@@ -23,72 +24,39 @@ class RecurrenceError(RuntimeError):
     """Recurrence produced an inconsistent or non-integral value: a bug, not data."""
 
 
-class GeneralizedCartanMatrix:
-    """Integer matrix with 2s on the diagonal, nonpositive off-diagonal entries,
-    and a symmetric zero pattern.
+CartanMatrix = tuple[tuple[int, ...], ...]
 
-    An immutable value: equal entries give equal, equally hashed matrices.
+
+def cartan_matrix(rows: Sequence[Sequence[int]]) -> CartanMatrix:
+    """``rows`` as a generalized Cartan matrix: a tuple of rows of plain ints.
+
+    The matrix must be square and nonempty, with integer entries (read by
+    ``operator.index``), 2s on the diagonal, nonpositive entries off it, and
+    a symmetric zero pattern; anything else raises ``ValueError``.
     """
-
-    __slots__ = ("entries",)
-    entries: tuple[tuple[int, ...], ...]
-
-    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
-        n = len(entries)
-        if n == 0:
-            raise ValueError("empty Cartan matrix")
-        for i, row in enumerate(entries):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            if row[i] != 2:
-                raise ValueError(f"diagonal entry [{i}][{i}] must be 2, got {row[i]}")
-            for j, v in enumerate(row):
-                try:
-                    index(v)
-                except TypeError:
-                    raise ValueError(f"entry [{i}][{j}] must be an integer, got {v!r}") from None
-                if i != j and v > 0:
-                    raise ValueError(f"off-diagonal entry [{i}][{j}] must be <= 0, got {v}")
-                if (v == 0) != (entries[j][i] == 0):
-                    raise ValueError(f"zero pattern not symmetric at [{i}][{j}]")
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(entries={self.entries!r})"
-
-    def __reduce__(self) -> tuple[type, tuple[tuple[tuple[int, ...], ...]]]:
-        # copy and pickle rebuild through __init__, which __setattr__ leaves as the only writer
-        return type(self), (self.entries,)
-
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
-    @property
-    def is_symmetric(self) -> bool:
-        n = self.rank
-        return all(self.entries[i][j] == self.entries[j][i] for i in range(n) for j in range(n))
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
+    A = tuple(map(tuple, rows))
+    n = len(A)
+    if n == 0:
+        raise ValueError("empty Cartan matrix")
+    for i, row in enumerate(A):
+        if len(row) != n:
+            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+    for i, row in enumerate(A):
+        if row[i] != 2:
+            raise ValueError(f"diagonal entry [{i}][{i}] must be 2, got {row[i]}")
+        for j, v in enumerate(row):
+            try:
+                v = index(v)
+            except TypeError:
+                raise ValueError(f"entry [{i}][{j}] must be an integer, got {v!r}") from None
+            if i != j and v > 0:
+                raise ValueError(f"off-diagonal entry [{i}][{j}] must be <= 0, got {v}")
+            if (v == 0) != (A[j][i] == 0):
+                raise ValueError(f"zero pattern not symmetric at [{i}][{j}]")
+    return tuple(tuple(map(index, row)) for row in A)
 
 
-def rank3_chain(a1: int, a2: int) -> GeneralizedCartanMatrix:
+def rank3_chain(a1: int, a2: int) -> CartanMatrix:
     """Build the 3x3 chain matrix [[2,-a1,0],[-a1,2,-a2],[0,-a2,2]].
 
     Requires integers a1, a2 >= 1.  The pair (1, 1), the finite A3, is
@@ -101,10 +69,10 @@ def rank3_chain(a1: int, a2: int) -> GeneralizedCartanMatrix:
         raise ValueError(f"chain labels must be integers, got ({a1!r}, {a2!r})") from None
     if a1 <= 0 or a2 <= 0:
         raise ValueError(f"chain labels must be positive, got ({a1}, {a2})")
-    return GeneralizedCartanMatrix(((2, -a1, 0), (-a1, 2, -a2), (0, -a2, 2)))
+    return ((2, -a1, 0), (-a1, 2, -a2), (0, -a2, 2))
 
 
-def query_weight(A: GeneralizedCartanMatrix | None, lam: Sequence[int]) -> tuple[int, ...]:
+def query_weight(A: CartanMatrix | None, lam: Sequence[int]) -> tuple[int, ...]:
     """``lam`` as a plain tuple of ints that an engine can be asked about.
 
     Every coefficient must be an integer (``operator.index``, so 2.9 and '2'
@@ -118,8 +86,8 @@ def query_weight(A: GeneralizedCartanMatrix | None, lam: Sequence[int]) -> tuple
         raise ValueError(f"weight coefficients must be integers, got {lam!r}") from None
     if w and min(w) < 0:
         raise ValueError(f"negative coefficient in weight {w}")
-    if A is not None and len(w) != A.rank:
-        raise ValueError(f"weight length {len(w)} does not match rank {A.rank}")
+    if A is not None and len(w) != len(A):
+        raise ValueError(f"weight length {len(w)} does not match rank {len(A)}")
     if sum(w) < 1:
         raise ValueError("weight must have height >= 1")
     return w

@@ -46,7 +46,7 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import TYPE_CHECKING, Sequence
 
-from .gcm import GeneralizedCartanMatrix, RecurrenceError, query_weight
+from .gcm import RecurrenceError, cartan_matrix, query_weight
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -64,8 +64,9 @@ class MultiplicityTable:
     algebra; fresh tables give identical values.
     """
 
-    def __init__(self, A: GeneralizedCartanMatrix) -> None:
-        if not A.is_symmetric:
+    def __init__(self, A: Sequence[Sequence[int]]) -> None:
+        A = cartan_matrix(A)
+        if A != tuple(zip(*A)):
             raise ValueError("recurrence requires a symmetric Cartan matrix")
         self.algebra = A
         self._mult: dict[tuple[int, ...], int] = {}
@@ -86,7 +87,7 @@ class MultiplicityTable:
         """Right-hand side, scaled by denom**2, summed over mu <= lam - mu only."""
         cnum = self._cnum
         norm = self._norm
-        a_lam = [sum(map(mul, row, lam)) for row in self.algebra.entries]
+        a_lam = [sum(map(mul, row, lam)) for row in self.algebra]
         half = (range(lam[0] // 2 + 1),) + tuple(range(c + 1) for c in lam[1:])
         total = 0
         for mu in itertools.product(*half):
@@ -105,7 +106,7 @@ class MultiplicityTable:
 
     def _cell(self, lam: tuple[int, ...]) -> None:
         # A lam gives both (lam, alpha_i) = (A lam)_i and (lam, lam) = lam . A lam
-        a_lam = [sum(map(mul, row, lam)) for row in self.algebra.entries]
+        a_lam = [sum(map(mul, row, lam)) for row in self.algebra]
         norm = self._norm[lam] = sum(map(mul, lam, a_lam))
         height = sum(lam)
         denom = self._denom

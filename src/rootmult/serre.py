@@ -29,7 +29,7 @@ from .freelie import (
     ad_generator,  # noqa: F401  unused; bench/spans.py traces serre.ad_generator by name
     free_lie_dim,
 )
-from .gcm import DEFAULT_HEIGHT_CAP, GeneralizedCartanMatrix, OracleScaleError, query_weight
+from .gcm import DEFAULT_HEIGHT_CAP, OracleScaleError, cartan_matrix, query_weight
 from .linalg import EchelonBasis, Row, _axpy, _divide
 
 # A matrix stored as (columns, denominator): column k, divided by the
@@ -75,10 +75,11 @@ class SerreQuotient:
 
     def __init__(
         self,
-        A: GeneralizedCartanMatrix,
+        A: Sequence[Sequence[int]],
         height_cap: int = DEFAULT_HEIGHT_CAP,
     ) -> None:
-        if not A.is_symmetric:
+        A = cartan_matrix(A)
+        if A != tuple(zip(*A)):
             raise ValueError(
                 "the quotient oracle requires a symmetric Cartan matrix: the Serre "
                 "relations generate the maximal ideal only for symmetrizable A (Gabber-Kac)"
@@ -88,12 +89,12 @@ class SerreQuotient:
         except TypeError:
             raise ValueError(f"height cap must be an integer, got {height_cap!r}") from None
         self.algebra = A
-        r = A.rank
+        r = len(A)
         zero = (0,) * r
         # g_0 is the Cartan subalgebra; [f_i, e_i] = -h_i and [e_i, h_k] = -a_ki e_i
         self._spaces: dict[tuple[int, ...], _Space] = {zero: _Space(r, [], [], 1, {})}
         for i in range(r):
-            raising = ([{0: -A[k, i]} if A[k, i] else {} for k in range(r)], 1)
+            raising = ([{0: -A[k][i]} if A[k][i] else {} for k in range(r)], 1)
             simple = zero[:i] + (1,) + zero[i + 1 :]
             blocks = [(i, k) for k in range(r)]
             self._spaces[simple] = _Space(1, blocks, [{i: -1}], 1, {i: raising})
@@ -112,7 +113,7 @@ class SerreQuotient:
         and g_lam is stored as the zero space, with empty maps [e_j, .] from
         each of them, without building blocks or running an elimination.
         """
-        A = self.algebra.entries
+        A = self.algebra
         spaces = self._spaces
         below = {j: spaces[_lower(lam, j)].dim for j, c in enumerate(lam) if c}
         if not any(below.values()):
@@ -187,7 +188,7 @@ class SerreQuotient:
         """
         n = len(t)
         start = next((k for k in range(n - 1) if t[k:] in done), n - 1)
-        mu = [0] * self.algebra.rank
+        mu = [0] * len(self.algebra)
         for s in t[start:]:
             mu[s - 1] += 1
         vec, den = done[t[start:]] if start < n - 1 else ({0: 1}, 1)
@@ -227,7 +228,7 @@ class SerreQuotient:
         """
         lam = query_weight(self.algebra, lam)
         self._check_height(lam)
-        rank = self.algebra.rank
+        rank = len(self.algebra)
         family = tuple(family)
         for t in family:
             for i in t:

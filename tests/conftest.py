@@ -3,19 +3,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 from rootmult import FormulaParams, MultiplicityTable, SerreQuotient, rank3_chain
-from rootmult.freelie import (
-    NcPolynomial,
-    StandardTuple,
-    expand_combination,
-    standard_tuples_of_weight,
-)
-from rootmult.gcm import GeneralizedCartanMatrix
+from rootmult.freelie import NcPolynomial, StandardTuple, expand_combination
+from rootmult.gcm import CartanMatrix, query_weight
 from rootmult.linalg import EchelonBasis
 
 
@@ -60,9 +55,9 @@ def format_bracket(x) -> str:
     return f"[{format_bracket(left)},{format_bracket(right)}]"
 
 
-def form(A: GeneralizedCartanMatrix, x, y) -> int:
+def form(A: CartanMatrix, x, y) -> int:
     """x^T A y on plain coefficient tuples: for a symmetric A, (alpha_i, alpha_j) = A_ij."""
-    return sum(xi * sum(aij * yj for aij, yj in zip(row, y)) for xi, row in zip(x, A.entries))
+    return sum(xi * sum(aij * yj for aij, yj in zip(row, y)) for xi, row in zip(x, A))
 
 
 def matrix_rank(rows: Iterable[dict]) -> int:
@@ -120,6 +115,30 @@ class OffByOneTable(MultiplicityTable):
         return rhs + self._denom * (self._norm[lam] - 2 * sum(lam))
 
 
+def standard_tuples_of_weight(lam: Sequence[int]) -> Iterator[StandardTuple]:
+    """All standard tuples of the given multidegree, in lexicographic order.
+
+    The multidegree is checked as :func:`free_lie_dim` checks it, so the zero
+    weight, which no bracket has, raises ``ValueError``.
+    """
+    counts = list(query_weight(None, lam))
+
+    def rec(prefix: list[int]) -> Iterator[StandardTuple]:
+        if not any(counts):
+            yield tuple(prefix)
+            return
+        for i, c in enumerate(counts):
+            if c == 0:
+                continue
+            counts[i] -= 1
+            prefix.append(i + 1)
+            yield from rec(prefix)
+            prefix.pop()
+            counts[i] += 1
+
+    yield from rec([])
+
+
 def expand_tuple(t: tuple[int, ...]) -> NcPolynomial:
     """Tensor expansion of the left-normed bracket encoded by ``t``."""
     return expand_combination({t: 1})
@@ -138,18 +157,18 @@ def poly_sum(terms: Iterable[tuple[int, NcPolynomial]]) -> NcPolynomial:
 # the presentation: Serre relations and the ideal they generate
 # ---------------------------------------------------------------------------
 
-def serre_relations(A: GeneralizedCartanMatrix) -> list[tuple[int, ...]]:
+def serre_relations(A: CartanMatrix) -> list[tuple[int, ...]]:
     """The defining relations ad(e_i)^(1-A_ij)(e_j) as left-normed tuples.
 
     One per ordered pair i != j; when A_ij = 0, [e_i, e_j] and [e_j, e_i]
     differ only by sign, and only the pair with i < j is kept.
     """
-    r = A.rank
+    r = len(A)
     return [
-        (i,) * (1 - A[i - 1, j - 1]) + (j,)
+        (i,) * (1 - A[i - 1][j - 1]) + (j,)
         for i in range(1, r + 1)
         for j in range(1, r + 1)
-        if i != j and not (A[i - 1, j - 1] == 0 and i > j)
+        if i != j and not (A[i - 1][j - 1] == 0 and i > j)
     ]
 
 
@@ -157,7 +176,7 @@ def tuple_weight(t: tuple[int, ...], rank: int) -> tuple[int, ...]:
     return tuple(t.count(i) for i in range(1, rank + 1))
 
 
-def relation_ideal_rows(A: GeneralizedCartanMatrix, lam: tuple[int, ...]) -> list[dict]:
+def relation_ideal_rows(A: CartanMatrix, lam: tuple[int, ...]) -> list[dict]:
     """Tensor expansions of [e_i1, [..., [e_ik, s]]] over every relation s, at ``lam``.
 
     Their span is the ideal slice at ``lam``: the ideal generated by the
@@ -165,7 +184,7 @@ def relation_ideal_rows(A: GeneralizedCartanMatrix, lam: tuple[int, ...]) -> lis
     """
     rows = []
     for s in serre_relations(A):
-        rest = tuple(c - w for c, w in zip(lam, tuple_weight(s, A.rank)))
+        rest = tuple(c - w for c, w in zip(lam, tuple_weight(s, len(A))))
         if min(rest) < 0:
             continue
         # at the relation's own weight the one prefix is the empty one
@@ -174,7 +193,7 @@ def relation_ideal_rows(A: GeneralizedCartanMatrix, lam: tuple[int, ...]) -> lis
     return rows
 
 
-def in_relation_ideal(A: GeneralizedCartanMatrix, lam: tuple[int, ...], poly: NcPolynomial) -> bool:
+def in_relation_ideal(A: CartanMatrix, lam: tuple[int, ...], poly: NcPolynomial) -> bool:
     """Whether a tensor polynomial of multidegree ``lam`` lies in the relation ideal."""
     rows = relation_ideal_rows(A, lam)
     return matrix_rank(rows + [poly.coeffs]) == matrix_rank(rows)
@@ -319,7 +338,7 @@ class RankCheck:
 
 
 def independent_rank_check(
-    A: GeneralizedCartanMatrix, p: FormulaParams, engine: SerreQuotient
+    A: CartanMatrix, p: FormulaParams, engine: SerreQuotient
 ) -> RankCheck:
     """Measure the canonical family inside the quotient.
 

@@ -29,7 +29,6 @@ from rootmult.formula import interval_counts
 from rootmult.freelie import (
     expand_combination,
     expand_tensor,
-    standard_tuples_of_weight,
     weight_of,
 )
 
@@ -45,6 +44,7 @@ from conftest import (
     matrix_rank,
     poly_sum,
     random_expr,
+    standard_tuples_of_weight,
     stars_and_bars,
 )
 

@@ -18,7 +18,6 @@ from rootmult.freelie import (
     NcPolynomial,
     expand_combination,
     expand_tensor,
-    standard_tuples_of_weight,
     weight_of,
 )
 
@@ -30,6 +29,7 @@ from conftest import (
     matrix_rank,
     poly_sum,
     random_expr,
+    standard_tuples_of_weight,
 )
 
 

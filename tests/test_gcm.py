@@ -8,28 +8,21 @@ import re
 import pytest
 
 from rootmult import MultiplicityTable, SerreQuotient, free_lie_dim, rank3_chain
-from rootmult.freelie import standard_tuples_of_weight
-from rootmult.gcm import GeneralizedCartanMatrix, query_weight
+from rootmult.gcm import cartan_matrix, query_weight
 
-from conftest import form
+from conftest import form, standard_tuples_of_weight
 
 
 def test_chain_entries():
-    assert rank3_chain(1, 2).entries == ((2, -1, 0), (-1, 2, -2), (0, -2, 2))
-    assert rank3_chain(1, 1).entries == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
-    assert rank3_chain(2, 2).entries == ((2, -2, 0), (-2, 2, -2), (0, -2, 2))
+    assert rank3_chain(1, 2) == ((2, -1, 0), (-1, 2, -2), (0, -2, 2))
+    assert rank3_chain(1, 1) == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    assert rank3_chain(2, 2) == ((2, -2, 0), (-2, 2, -2), (0, -2, 2))
     # a matrix is an immutable value: equal entries, equal matrices and hashes
     A = rank3_chain(1, 2)
-    B = GeneralizedCartanMatrix(((2, -1, 0), (-1, 2, -2), (0, -2, 2)))
+    B = cartan_matrix(((2, -1, 0), (-1, 2, -2), (0, -2, 2)))
     assert A == B and hash(A) == hash(B) and A is not B
-    assert A != rank3_chain(2, 1) and A != A.entries
+    assert A != rank3_chain(2, 1)
     assert copy.deepcopy(A) == A and pickle.loads(pickle.dumps(A)) == A
-    assert repr(A) == "GeneralizedCartanMatrix(entries=((2, -1, 0), (-1, 2, -2), (0, -2, 2)))"
-    with pytest.raises(AttributeError):
-        A.entries = ((2,),)
-    with pytest.raises(AttributeError):
-        del A.entries
-    assert A.entries == B.entries
 
 
 def test_chain_rejects_nonpositive_labels():
@@ -47,13 +40,63 @@ def test_chain_labels_must_be_integers():
 
 def test_matrix_invariants_enforced():
     with pytest.raises(ValueError):
-        GeneralizedCartanMatrix(((1, 0), (0, 2)))  # diagonal
+        cartan_matrix(((1, 0), (0, 2)))  # diagonal
     with pytest.raises(ValueError):
-        GeneralizedCartanMatrix(((2, 1), (1, 2)))  # positive off-diagonal
+        cartan_matrix(((2, 1), (1, 2)))  # positive off-diagonal
     with pytest.raises(ValueError):
-        GeneralizedCartanMatrix(((2, -1), (0, 2)))  # asymmetric zero pattern
+        cartan_matrix(((2, -1), (0, 2)))  # asymmetric zero pattern
     with pytest.raises(ValueError):
-        GeneralizedCartanMatrix(((2, -1, 0), (-1, 2, -2)))  # not square
+        cartan_matrix(((2, -1, 0), (-1, 2, -2)))  # not square
+
+
+# the malformed matrices of test_matrix_invariants_enforced, and a short last row
+MALFORMED = (
+    ((1, 0), (0, 2)),
+    ((2, 1), (1, 2)),
+    ((2, -1), (0, 2)),
+    ((2, -1, 0), (-1, 2, -2)),
+    ((2, 0), ()),
+)
+
+
+def test_cartan_matrix_of_lists_is_a_tuple_of_ints():
+    A = cartan_matrix([[2, -1, 0], [-1, 2, -2], [0, -2, 2]])
+    assert A == rank3_chain(1, 2) and hash(A) == hash(rank3_chain(1, 2))
+    assert type(A) is tuple and all(type(row) is tuple for row in A)
+    assert all(type(v) is int for row in A for v in row)
+
+    class Index:  # an integer only through __index__, as operator.index reads it
+        def __index__(self):
+            return -1
+
+    assert cartan_matrix([[2, Index()], [Index(), 2]]) == ((2, -1), (-1, 2))
+
+
+def test_engines_accept_integer_rows():
+    a2 = [[2, -1], [-1, 2]]
+    expected = {(1, 0): 1, (0, 1): 1, (1, 1): 1, (2, 1): 0, (1, 2): 0, (2, 2): 0}
+    for engine in (MultiplicityTable(a2), SerreQuotient(a2)):
+        assert engine.algebra == ((2, -1), (-1, 2))
+        assert {lam: engine.multiplicity(lam) for lam in expected} == expected
+
+
+@pytest.mark.parametrize("rows", MALFORMED, ids=str)
+def test_engines_check_the_matrix_as_cartan_matrix_does(rows):
+    with pytest.raises(ValueError) as want:
+        cartan_matrix(rows)
+    for engine in (MultiplicityTable, SerreQuotient):
+        with pytest.raises(ValueError) as got:
+            engine(rows)
+        assert str(got.value) == str(want.value), engine
+
+
+def test_engines_keep_their_own_symmetry_message():
+    b2 = [[2, -1], [-2, 2]]
+    assert cartan_matrix(b2) == ((2, -1), (-2, 2))  # a generalized Cartan matrix, not symmetric
+    with pytest.raises(ValueError, match="^recurrence requires a symmetric Cartan matrix$"):
+        MultiplicityTable(b2)
+    with pytest.raises(ValueError, match="^the quotient oracle requires a symmetric Cartan matrix"):
+        SerreQuotient(b2)
 
 
 def test_query_weight_returns_a_plain_tuple():
@@ -95,7 +138,7 @@ def test_non_integer_input_is_refused_not_truncated():
     with pytest.raises(ValueError, match="1.5"):
         rank3_chain(1.5, 2)
     with pytest.raises(ValueError, match="0.5"):
-        GeneralizedCartanMatrix(((2, -0.5), (-1, 2)))
+        cartan_matrix(((2, -0.5), (-1, 2)))
 
 
 def test_symmetric_form_examples():
