@@ -30,9 +30,10 @@ CartanMatrix = tuple[tuple[int, ...], ...]
 def cartan_matrix(rows: Sequence[Sequence[int]]) -> CartanMatrix:
     """``rows`` as a generalized Cartan matrix: a tuple of rows of plain ints.
 
-    The matrix must be square and nonempty, with integer entries (read by
-    ``operator.index``), 2s on the diagonal, nonpositive entries off it, and
-    a symmetric zero pattern; anything else raises ``ValueError``.
+    The matrix must be square and nonempty, with integer entries, 2s on the
+    diagonal, nonpositive entries off it, and a symmetric zero pattern;
+    anything else raises ``ValueError``.  Every entry is read once by
+    ``operator.index``, and the other checks run on those ints.
     """
     A = tuple(map(tuple, rows))
     n = len(A)
@@ -41,19 +42,23 @@ def cartan_matrix(rows: Sequence[Sequence[int]]) -> CartanMatrix:
     for i, row in enumerate(A):
         if len(row) != n:
             raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+    entries = []
+    for i, row in enumerate(A):
+        for j, v in enumerate(row):
+            try:
+                entries.append(index(v))
+            except TypeError:
+                raise ValueError(f"entry [{i}][{j}] must be an integer, got {v!r}") from None
+    A = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
     for i, row in enumerate(A):
         if row[i] != 2:
             raise ValueError(f"diagonal entry [{i}][{i}] must be 2, got {row[i]}")
         for j, v in enumerate(row):
-            try:
-                v = index(v)
-            except TypeError:
-                raise ValueError(f"entry [{i}][{j}] must be an integer, got {v!r}") from None
             if i != j and v > 0:
                 raise ValueError(f"off-diagonal entry [{i}][{j}] must be <= 0, got {v}")
             if (v == 0) != (A[j][i] == 0):
                 raise ValueError(f"zero pattern not symmetric at [{i}][{j}]")
-    return tuple(tuple(map(index, row)) for row in A)
+    return A
 
 
 def rank3_chain(a1: int, a2: int) -> CartanMatrix:

@@ -13,6 +13,8 @@ import itertools
 import random
 import time
 
+import pytest
+
 from rootmult import (
     FormulaParams,
     MultiplicityTable,
@@ -275,6 +277,7 @@ def test_ac09_comparison_reports(tmp_path):
         report(f"AC-09 REPORT ({a1},{a2}): closed-form rows matching the oracles: {summary}")
 
 
+@pytest.mark.slow
 def test_ac10_rank_sandwich():
     violations = []
     short = []  # span rank differs from the multiplicity

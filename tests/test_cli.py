@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import rootmult.cli as cli
 import rootmult.peterson as peterson
+import rootmult.serre as serre
 from rootmult import FormulaParams, OracleScaleError, RecurrenceError, Variant, closed_form_dim
 from rootmult.formula import count_canonical, interval_counts
 from rootmult.freelie import (
@@ -551,6 +552,37 @@ def test_compare_row_matches_the_library():
             assert row.tuples_canonical == count_canonical(p).canonical, (a1, a2, p)
             rows += 1
     assert rows == 16 * 8**3
+
+
+def test_compare_calls_each_oracle_once_per_row(monkeypatch):
+    # the per-row contract: one recurrence call per row after the one that fills
+    # the box, one quotient call per row within the height cap, and one
+    # interval-model call per row whose coefficients are all >= 2
+    calls: dict[str, list[tuple[int, ...]]] = {"peterson": [], "serre": [], "formula": []}
+
+    def counted(name, fn, weight_of_call):
+        def wrapper(*args):
+            calls[name].append(weight_of_call(*args))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        peterson.MultiplicityTable,
+        "multiplicity",
+        counted("peterson", peterson.MultiplicityTable.multiplicity, lambda self, lam: tuple(lam)),
+    )
+    monkeypatch.setattr(
+        serre.SerreQuotient,
+        "multiplicity",
+        counted("serre", serre.SerreQuotient.multiplicity, lambda self, lam: tuple(lam)),
+    )
+    monkeypatch.setattr(cli, "interval_counts", counted("formula", interval_counts, lambda p: p[2:]))
+    weights = [(r.n1, r.n2, r.n3) for r in cli.compare_rows(1, 2, 0, 3, height_cap=6)]
+    assert len(weights) == 4**3 - 1
+    assert calls["peterson"] == [(3, 3, 3), *weights]
+    assert calls["serre"] == [w for w in weights if sum(w) <= 6]
+    assert calls["formula"] == [w for w in weights if min(w) >= 2]
 
 
 def test_mult_closed_form_methods_print_the_library_values():

@@ -195,6 +195,7 @@ def leaf_indices(x) -> list[int]:
     return leaf_indices(left) + leaf_indices(right)
 
 
+@pytest.mark.slow
 @settings(max_examples=400, deadline=None)
 @given(bracket_texts())
 def test_parser_fuzz(text):

@@ -65,11 +65,28 @@ def test_cartan_matrix_of_lists_is_a_tuple_of_ints():
     assert type(A) is tuple and all(type(row) is tuple for row in A)
     assert all(type(v) is int for row in A for v in row)
 
-    class Index:  # an integer only through __index__, as operator.index reads it
-        def __index__(self):
-            return -1
 
-    assert cartan_matrix([[2, Index()], [Index(), 2]]) == ((2, -1), (-1, 2))
+class I:  # an integer only through __index__, as operator.index reads it: I(2) != 2
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([[2, I(-1)], [I(-1), 2]], ((2, -1), (-1, 2))),
+        ([[I(2), -1], [-1, 2]], ((2, -1), (-1, 2))),  # the diagonal check reads the int
+        ([[2, I(0)], [0, 2]], ((2, 0), (0, 2))),  # so does the zero-pattern check
+    ],
+)
+def test_every_check_reads_the_entries_as_ints(rows, expected):
+    A = cartan_matrix(rows)
+    assert A == expected and all(type(v) is int for row in A for v in row)
+    for engine in (MultiplicityTable(rows), SerreQuotient(rows)):
+        assert engine.algebra == expected
 
 
 def test_engines_accept_integer_rows():
@@ -139,6 +156,8 @@ def test_non_integer_input_is_refused_not_truncated():
         rank3_chain(1.5, 2)
     with pytest.raises(ValueError, match="0.5"):
         cartan_matrix(((2, -0.5), (-1, 2)))
+    with pytest.raises(ValueError, match=re.escape("entry [0][0] must be an integer, got 2.5")):
+        cartan_matrix(((2.5, -1), (-1, 2)))
 
 
 def test_symmetric_form_examples():

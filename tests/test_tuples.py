@@ -150,6 +150,7 @@ def test_rank_sandwich_small_grid(chain12, engine12):
         assert check.rank_in_quotient <= check.oracle_mult, n
 
 
+@pytest.mark.slow
 def test_canonical_configs_match_counts():
     """The closed-form counts equal the enumerated classification, term by term.
 
