@@ -18,7 +18,7 @@ neither) does not load :mod:`rootmult.peterson`, :mod:`rootmult.serre` or
 """
 from typing import TYPE_CHECKING
 
-from .formula import FormulaParams, Variant, closed_form_dim, count_canonical
+from .formula import closed_form_dim, count_canonical
 from .freelie import ParseError, free_lie_dim, parse_bracket, to_standard_form
 from .gcm import OracleScaleError, RecurrenceError, rank3_chain
 
@@ -29,13 +29,11 @@ if TYPE_CHECKING:
 __version__ = "0.1.0"
 
 __all__ = [
-    "FormulaParams",
     "MultiplicityTable",
     "OracleScaleError",
     "ParseError",
     "RecurrenceError",
     "SerreQuotient",
-    "Variant",
     "closed_form_dim",
     "count_canonical",
     "free_lie_dim",

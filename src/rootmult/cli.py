@@ -24,7 +24,7 @@ import sys
 from types import SimpleNamespace
 from typing import IO, Any, Callable, Iterator, NamedTuple
 
-from .formula import FormulaParams, Variant, closed_form_dim, count_canonical, interval_counts
+from .formula import VARIANTS, closed_form_dim, count_canonical, interval_counts
 from .freelie import (
     BracketExpr,
     expand_combination,
@@ -166,12 +166,12 @@ def _cmd_mult(args: SimpleNamespace, out: IO[str]) -> int:
 
         value = SerreQuotient(algebra, height_cap=args.height_cap).multiplicity(weight)
     else:
-        params = FormulaParams(*args.gcm, *weight)
-        _note_finite_type(*args.gcm)
+        # the value comes first, so a weight the closed form refuses prints no note
         if args.method == "formula":
-            value = closed_form_dim(params, args.variant)
+            value = closed_form_dim(*args.gcm, *weight, args.variant)
         else:
-            value = count_canonical(params).canonical
+            value = count_canonical(*args.gcm, *weight).canonical
+        _note_finite_type(*args.gcm)
     _print_value(weight, value, out)
     return EXIT_OK
 
@@ -264,10 +264,10 @@ def compare_rows(
                     f"recurrence {mult}"
                 )
         if min(weight) >= 2:
-            counts = interval_counts(FormulaParams(a1, a2, *weight))
-            section44: int | str = counts.dim(Variant.SECTION44)
-            lemma410: int | str = counts.dim(Variant.LEMMA410)
-            guarded: int | str = counts.dim(Variant.GUARDED)
+            counts = interval_counts(a1, a2, *weight)
+            section44: int | str = counts.dim("section44")
+            lemma410: int | str = counts.dim("lemma410")
+            guarded: int | str = counts.dim("guarded")
             canonical: int | str = counts.canonical
             agree: bool | str = guarded == mult
         else:
@@ -357,7 +357,7 @@ def build_parser() -> dict[str, Command]:
                 "--gcm": gcm,
                 "--weight": (_parse_weight, None, "n1,n2,n3"),
                 "--method": _choice(("formula", "peterson", "quotient", "tuples")),
-                "--variant": _choice(tuple(v.value for v in Variant), Variant.GUARDED.value),
+                "--variant": _choice(VARIANTS, "guarded"),
                 "--height-cap": height_cap,
             },
             required=("--gcm", "--weight", "--method"),

@@ -11,9 +11,11 @@ threes.
 :func:`interval_counts` evaluates every count of the model at one weight,
 once, into an :class:`IntervalCounts`: the admissible configurations
 (``total``), the ones duplicating another configuration (``dependent``, one
-shape per :class:`Variant`), the ones whose element is zero (``vanishing``,
-the paper's pooled count) and the per-colour trivial count.  A ``compare``
-row reads all of its closed-form columns from that one evaluation.
+shape per name in :data:`VARIANTS`), the ones whose element is zero
+(``vanishing``, the paper's pooled count) and the per-colour trivial count.
+A ``compare`` row reads all of its closed-form columns from that one
+evaluation.  Each function takes the five integers a1, a2, n1, n2, n3 as
+plain arguments, and :func:`interval_counts` checks them.
 
 The paper's dimension is total minus dependent minus vanishing, piecewise in
 n2: the vanishing count for label a_i is subtracted exactly when
@@ -28,58 +30,15 @@ these counts configuration by configuration, is a test reference.
 """
 from __future__ import annotations
 
-import enum
 from math import comb
 from operator import index
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-
-class _Params(NamedTuple):
-    a1: int
-    a2: int
-    n1: int
-    n2: int
-    n3: int
-
-
-class FormulaParams(_Params):
-    """Chain labels (a1, a2) and weight coefficients (n1, n2, n3), all n_i >= 2."""
-
-    __slots__ = ()
-
-    def __new__(cls, a1: int, a2: int, n1: int, n2: int, n3: int) -> FormulaParams:
-        try:
-            a1, a2, n1, n2, n3 = index(a1), index(a2), index(n1), index(n2), index(n3)
-        except TypeError:
-            raise ValueError(
-                f"closed-form parameters must be integers, got {(a1, a2, n1, n2, n3)!r}"
-            ) from None
-        if a1 < 1 or a2 < 1:
-            raise ValueError(f"chain labels must be >= 1, got ({a1}, {a2})")
-        if min(n1, n2, n3) < 2:
-            raise ValueError(
-                "closed form requires n1, n2, n3 >= 2; "
-                "use the recurrence or quotient oracle for smaller coefficients"
-            )
-        return super().__new__(cls, a1, a2, n1, n2, n3)
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> FormulaParams:
-        # the inherited _make, and so _replace, would build the tuple unchecked
-        return cls(*iterable)
-
-
-class Variant(str, enum.Enum):
-    """Published shapes of the dependent-configuration count.
-
-    The two fixed shapes differ in one lower binomial index; ``GUARDED``
-    keeps each term only when the matching chain label allows the pattern
-    it counts (a_i >= 2), which is the shape the interval model supports.
-    """
-
-    SECTION44 = "section44"
-    LEMMA410 = "lemma410"
-    GUARDED = "guarded"
+# the published shapes of the dependent-configuration count: the two fixed
+# shapes differ in one lower binomial index; "guarded" keeps each term only
+# when the matching chain label allows the pattern it counts (a_i >= 2),
+# which is the shape the interval model supports
+VARIANTS = ("section44", "lemma410", "guarded")
 
 
 class IntervalCounts(NamedTuple):
@@ -93,15 +52,12 @@ class IntervalCounts(NamedTuple):
     vanishing_second: int
     trivial: int
 
-    def dependent(self, variant: Variant | str = Variant.GUARDED) -> int:
-        variant = Variant(variant)
-        if variant is Variant.SECTION44:
-            return self.dependent_section44
-        if variant is Variant.LEMMA410:
-            return self.dependent_lemma410
-        return self.dependent_guarded
+    def dependent(self, variant: str = "guarded") -> int:
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r} (choose from {', '.join(VARIANTS)})")
+        return getattr(self, "dependent_" + variant)
 
-    def dim(self, variant: Variant | str = Variant.GUARDED) -> int:
+    def dim(self, variant: str = "guarded") -> int:
         """The closed form: total minus dependent minus the applied vanishing counts."""
         return self.total - self.dependent(variant) - self.vanishing_first - self.vanishing_second
 
@@ -111,8 +67,12 @@ class IntervalCounts(NamedTuple):
         return self.total - self.trivial - self.dependent_guarded
 
 
-def interval_counts(p: FormulaParams) -> IntervalCounts:
-    """Evaluate the interval model's counts at one weight.
+def interval_counts(a1: int, a2: int, n1: int, n2: int, n3: int) -> IntervalCounts:
+    """Evaluate the interval model's counts at the weight (n1, n2, n3) of chain (a1, a2).
+
+    The five arguments must be integers (``operator.index``, so 2.5 and '2'
+    are refused, not truncated), the labels at least 1 and the coefficients
+    at least 2; anything else raises ``ValueError``.
 
     With k = n2 - 2, a first interval holding i 1s leaves C(n1 - i + k, k)
     ways to spread the other 1s over the other n2 - 1 intervals, and
@@ -133,9 +93,9 @@ def interval_counts(p: FormulaParams) -> IntervalCounts:
       pair (ball, ball, 2) commutes with the delimiter, so the
       configuration duplicates one with the pair split across the first
       two intervals.  The products count a first interval (2, 0)
-      (``ones_term``) and (0, 2) (``threes_term``).  LEMMA410 adds both;
-      GUARDED keeps each only when its label is at least 2, the only labels
-      that admit the pattern; SECTION44 takes the second lower index of the
+      (``ones_term``) and (0, 2) (``threes_term``).  "lemma410" adds both;
+      "guarded" keeps each only when its label is at least 2, the only labels
+      that admit the pattern; "section44" takes the second lower index of the
       ones product as n2 - 1.
     * A single ball in the first interval followed by a_i - 1 empty
       intervals is vanishing: the tuple tail reads (2, ..., 2, ball, 2) with
@@ -147,7 +107,19 @@ def interval_counts(p: FormulaParams) -> IntervalCounts:
       spreads (``trivial``).  Both are zero when n2 < a_i + 1, where the
       pattern cannot occur.
     """
-    a1, a2, n1, n2, n3 = p.a1, p.a2, p.n1, p.n2, p.n3
+    try:
+        a1, a2, n1, n2, n3 = index(a1), index(a2), index(n1), index(n2), index(n3)
+    except TypeError:
+        raise ValueError(
+            f"closed-form parameters must be integers, got {(a1, a2, n1, n2, n3)!r}"
+        ) from None
+    if a1 < 1 or a2 < 1:
+        raise ValueError(f"chain labels must be >= 1, got ({a1}, {a2})")
+    if min(n1, n2, n3) < 2:
+        raise ValueError(
+            "closed form requires n1, n2, n3 >= 2; "
+            "use the recurrence or quotient oracle for smaller coefficients"
+        )
     k = n2 - 2
     ones_first = comb(n1 + k, k)
     threes_first = comb(n3 + k, k)
@@ -180,9 +152,11 @@ def interval_counts(p: FormulaParams) -> IntervalCounts:
     )
 
 
-def closed_form_dim(p: FormulaParams, variant: Variant | str = Variant.GUARDED) -> int:
+def closed_form_dim(
+    a1: int, a2: int, n1: int, n2: int, n3: int, variant: str = "guarded"
+) -> int:
     """The paper's piecewise dimension at one weight, with the given dependent shape."""
-    return interval_counts(p).dim(variant)
+    return interval_counts(a1, a2, n1, n2, n3).dim(variant)
 
 
 # kept only for the benchmark's tuples.configs counter, which reads .raw
@@ -193,11 +167,11 @@ class CanonicalCount(NamedTuple):
     canonical: int
 
 
-def count_canonical(p: FormulaParams) -> CanonicalCount:
+def count_canonical(a1: int, a2: int, n1: int, n2: int, n3: int) -> CanonicalCount:
     """Closed-form count of the model: canonical = raw - trivial - dependent.
 
     All four come from :func:`interval_counts`: raw is the total, trivial
     the per-colour trivial count and dependent the guarded dependent count.
     """
-    counts = interval_counts(p)
+    counts = interval_counts(a1, a2, n1, n2, n3)
     return CanonicalCount(counts.total, counts.trivial, counts.dependent_guarded, counts.canonical)

@@ -3,12 +3,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
-from rootmult import FormulaParams, MultiplicityTable, SerreQuotient, rank3_chain
+from rootmult import MultiplicityTable, SerreQuotient, rank3_chain
 from rootmult.freelie import NcPolynomial, StandardTuple, expand_combination
 from rootmult.gcm import CartanMatrix, query_weight
 from rootmult.linalg import EchelonBasis
@@ -219,12 +219,25 @@ def stars_and_bars(n: int, l: int) -> int:
     return binomial(n + l - 1, l - 1)
 
 
+class Params(NamedTuple):
+    """Chain labels (a1, a2) and weight (n1, n2, n3) of one model point, unchecked.
+
+    ``interval_counts(*p)`` evaluates the closed form at it, and checks it.
+    """
+
+    a1: int
+    a2: int
+    n1: int
+    n2: int
+    n3: int
+
+
 @dataclass(frozen=True)
 class IntervalConfig:
     """Ball counts (ones, threes) per interval, first (rightmost) interval first."""
 
     intervals: tuple[tuple[int, int], ...]
-    params: FormulaParams
+    params: Params
 
     def __post_init__(self) -> None:
         p = self.params
@@ -259,11 +272,11 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def enumerate_configs(p: FormulaParams) -> list[IntervalConfig]:
+def enumerate_configs(p: Params) -> list[IntervalConfig]:
     """All admissible configurations, in a fixed deterministic order.
 
     First-interval contents ascend lexicographically, then the remaining 1s,
-    then the remaining 3s.  The list length is ``interval_counts(p).total``.
+    then the remaining 3s.  The list length is ``interval_counts(*p).total``.
     """
     out: list[IntervalConfig] = []
     for i in range(min(p.a1, p.n1) + 1):
@@ -304,7 +317,7 @@ def is_dependent_pattern(c: IntervalConfig) -> bool:
     return c.first in ((2, 0), (0, 2))
 
 
-def canonical_configs(p: FormulaParams) -> list[IntervalConfig]:
+def canonical_configs(p: Params) -> list[IntervalConfig]:
     """Configurations surviving both pattern subtractions, enumeration order."""
     return [
         c
@@ -338,7 +351,7 @@ class RankCheck:
 
 
 def independent_rank_check(
-    A: CartanMatrix, p: FormulaParams, engine: SerreQuotient
+    A: CartanMatrix, p: Params, engine: SerreQuotient
 ) -> RankCheck:
     """Measure the canonical family inside the quotient.
 

@@ -16,10 +16,8 @@ import time
 import pytest
 
 from rootmult import (
-    FormulaParams,
     MultiplicityTable,
     SerreQuotient,
-    Variant,
     closed_form_dim,
     free_lie_dim,
     parse_bracket,
@@ -27,7 +25,7 @@ from rootmult import (
     to_standard_form,
 )
 from rootmult.cli import CSV_HEADER, main as cli_main
-from rootmult.formula import interval_counts
+from rootmult.formula import VARIANTS, interval_counts
 from rootmult.freelie import (
     expand_combination,
     expand_tensor,
@@ -35,6 +33,7 @@ from rootmult.freelie import (
 )
 
 from conftest import (
+    Params,
     compositions,
     enumerate_configs,
     expand_tuple,
@@ -137,22 +136,20 @@ def test_ac05_stars_and_bars_brute_force():
 
 
 def test_ac06_formula_arithmetic():
-    p = FormulaParams(1, 2, 2, 2, 2)
-    counts = interval_counts(p)
+    counts = interval_counts(1, 2, 2, 2, 2)
     assert counts.total == 5
     assert (counts.vanishing_first, counts.vanishing_second) == (1, 0)
-    expected = {Variant.SECTION44: (3, 1), Variant.LEMMA410: (2, 2), Variant.GUARDED: (1, 3)}
+    expected = {"section44": (3, 1), "lemma410": (2, 2), "guarded": (1, 3)}
     for variant, (b, dim) in expected.items():
         assert counts.dependent(variant) == b, variant
-        assert closed_form_dim(p, variant) == dim, variant
+        assert closed_form_dim(1, 2, 2, 2, 2, variant) == dim, variant
 
-    q = FormulaParams(2, 2, 2, 3, 2)
-    counts = interval_counts(q)
+    counts = interval_counts(2, 2, 2, 3, 2)
     assert counts.total == 27
     assert (counts.vanishing_first, counts.vanishing_second) == (1, 1)
-    for variant in Variant:
+    for variant in VARIANTS:
         assert counts.dependent(variant) == 6
-        assert closed_form_dim(q, variant) == 19
+        assert closed_form_dim(2, 2, 2, 3, 2, variant) == 19
     report("AC-06 PASS closed-form arithmetic: (1,2)@(2,2,2) dims 1/2/3; (2,2)@(2,3,2) dim 19")
 
 
@@ -190,13 +187,13 @@ def test_ac08_combinatorial_identities():
     trivial_bad = []
     for a1, a2 in itertools.product((1, 2, 3), repeat=2):
         for n in itertools.product((2, 3, 4), repeat=3):
-            p = FormulaParams(a1, a2, *n)
-            counts = interval_counts(p)
+            p = Params(a1, a2, *n)
+            counts = interval_counts(*p)
             configs = enumerate_configs(p)
             if len(configs) != counts.total:
                 total_bad.append(((a1, a2), n))
             dep = sum(is_dependent_pattern(c) for c in configs)
-            if dep != counts.dependent(Variant.GUARDED):
+            if dep != counts.dependent("guarded"):
                 dependent_bad.append(((a1, a2), n))
             triv = sum(is_trivial_pattern(c) for c in configs)
             v1, v2 = counts.vanishing_first, counts.vanishing_second
@@ -289,7 +286,7 @@ def test_ac10_rank_sandwich():
             if sum(n) > 8:
                 continue
             points += 1
-            check = independent_rank_check(A, FormulaParams(a1, a2, *n), engine)
+            check = independent_rank_check(A, Params(a1, a2, *n), engine)
             if check.rank_in_quotient > check.oracle_mult:
                 violations.append(((a1, a2), n, check))
             if check.rank_in_quotient != check.oracle_mult:
@@ -315,7 +312,7 @@ def test_ac10_rank_sandwich():
             if sum(n) > 12:
                 continue
             deep_points += 1
-            check = independent_rank_check(A, FormulaParams(a1, a2, *n), engine)
+            check = independent_rank_check(A, Params(a1, a2, *n), engine)
             if check.rank_in_quotient != check.oracle_mult:
                 deep_short.append(((a1, a2), n, check))
     elapsed = time.monotonic() - start

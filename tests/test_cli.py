@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import rootmult.cli as cli
 import rootmult.peterson as peterson
 import rootmult.serre as serre
-from rootmult import FormulaParams, OracleScaleError, RecurrenceError, Variant, closed_form_dim
-from rootmult.formula import count_canonical, interval_counts
+from rootmult import OracleScaleError, RecurrenceError, closed_form_dim
+from rootmult.formula import VARIANTS, count_canonical, interval_counts
 from rootmult.freelie import (
     MAX_BRACKET_DEPTH,
     MAX_EXPAND_WORDS,
@@ -65,6 +65,17 @@ def test_mult_formula_rejects_small_coefficients(capsys):
     assert "oracle" in capsys.readouterr().err
     code, _ = run("mult", "--gcm", "1,2", "--weight", "1,1,1", "--method", "tuples")
     assert code == cli.EXIT_USAGE
+
+
+def test_mult_refused_closed_form_prints_no_note(capsys):
+    # the finite-type note follows the value, so a refused weight writes the error alone
+    for method in ("formula", "tuples"):
+        code, out = run("mult", "--gcm", "1,1", "--weight", "2,1,2", "--method", method)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert capsys.readouterr().err == (
+            "error: closed form requires n1, n2, n3 >= 2; "
+            "use the recurrence or quotient oracle for smaller coefficients\n"
+        )
 
 
 def test_mult_quotient_cap(capsys):
@@ -360,18 +371,18 @@ def test_values_past_the_digit_limit_exit_3(capsys):
     limit = sys.get_int_max_str_digits()
     if not limit:
         pytest.skip("this interpreter prints integers of any length")
-    params = FormulaParams(1, 2, 8000, 8000, 2)
+    params = (1, 2, 8000, 8000, 2)
     for argv, weight, value in (
         (("witt", "--weight", "8000,8000"), (8000, 8000), free_lie_dim((8000, 8000))),
         (
             ("mult", "--gcm", "1,2", "--weight", "8000,8000,2", "--method", "formula"),
             (8000, 8000, 2),
-            closed_form_dim(params),
+            closed_form_dim(*params),
         ),
         (
             ("mult", "--gcm", "1,2", "--weight", "8000,8000,2", "--method", "tuples"),
             (8000, 8000, 2),
-            count_canonical(params).canonical,
+            count_canonical(*params).canonical,
         ),
     ):
         assert run(*argv) == (cli.EXIT_COMPUTE, "")
@@ -536,20 +547,19 @@ def test_mult_closed_form_finite_type_note(capsys):
 def test_compare_row_matches_the_library():
     # the row evaluates the interval model once; each column must still be the
     # library's value, and each closed form its breakdown
-    variants = (Variant.SECTION44, Variant.LEMMA410, Variant.GUARDED)
     rows = 0
     for a1, a2 in itertools.product(range(1, 5), repeat=2):
         for row in cli.compare_rows(a1, a2, 2, 9, height_cap=1):
-            p = FormulaParams(a1, a2, row.n1, row.n2, row.n3)
-            counts = interval_counts(p)
+            n = (row.n1, row.n2, row.n3)
+            counts = interval_counts(a1, a2, *n)
             v1, v2 = counts.vanishing_first, counts.vanishing_second
-            vanishing = (v1 if p.n2 >= 1 + a1 else 0) + (v2 if p.n2 >= 1 + a2 else 0)
+            vanishing = (v1 if row.n2 >= 1 + a1 else 0) + (v2 if row.n2 >= 1 + a2 else 0)
             columns = (row.formula_section44, row.formula_lemma410, row.formula_guarded)
-            for variant, column in zip(variants, columns):
-                dim = closed_form_dim(p, variant)
-                assert column == dim, (a1, a2, p, variant)
+            for variant, column in zip(VARIANTS, columns):
+                dim = closed_form_dim(a1, a2, *n, variant)
+                assert column == dim, (a1, a2, n, variant)
                 assert dim == counts.total - counts.dependent(variant) - vanishing
-            assert row.tuples_canonical == count_canonical(p).canonical, (a1, a2, p)
+            assert row.tuples_canonical == count_canonical(a1, a2, *n).canonical, (a1, a2, n)
             rows += 1
     assert rows == 16 * 8**3
 
@@ -577,7 +587,9 @@ def test_compare_calls_each_oracle_once_per_row(monkeypatch):
         "multiplicity",
         counted("serre", serre.SerreQuotient.multiplicity, lambda self, lam: tuple(lam)),
     )
-    monkeypatch.setattr(cli, "interval_counts", counted("formula", interval_counts, lambda p: p[2:]))
+    monkeypatch.setattr(
+        cli, "interval_counts", counted("formula", interval_counts, lambda a1, a2, *n: n)
+    )
     weights = [(r.n1, r.n2, r.n3) for r in cli.compare_rows(1, 2, 0, 3, height_cap=6)]
     assert len(weights) == 4**3 - 1
     assert calls["peterson"] == [(3, 3, 3), *weights]
@@ -591,10 +603,10 @@ def test_mult_closed_form_methods_print_the_library_values():
     for (a1, a2), weight in itertools.product(
         ((1, 2), (2, 2), (3, 1)), ((2, 2, 2), (3, 4, 2), (2, 5, 3))
     ):
-        counts = interval_counts(FormulaParams(a1, a2, *weight))
+        counts = interval_counts(a1, a2, *weight)
         argv = ("mult", "--gcm", f"{a1},{a2}", "--weight", ",".join(map(str, weight)))
-        for variant in Variant:
-            printed = run(*argv, "--method", "formula", "--variant", variant.value)
+        for variant in VARIANTS:
+            printed = run(*argv, "--method", "formula", "--variant", variant)
             assert printed == (0, f"{counts.dim(variant)}\n"), (a1, a2, weight, variant)
         assert run(*argv, "--method", "tuples") == (0, f"{counts.canonical}\n"), (a1, a2, weight)
 

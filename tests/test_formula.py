@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import re
 import sys
 import time
 from pathlib import Path
@@ -9,14 +10,14 @@ from pathlib import Path
 import pytest
 
 import rootmult.formula
-from rootmult import FormulaParams, Variant, closed_form_dim
-from rootmult.formula import interval_counts
+from rootmult import closed_form_dim, count_canonical
+from rootmult.formula import VARIANTS, interval_counts
 
-from conftest import binomial, enumerate_configs, stars_and_bars
+from conftest import Params, binomial, enumerate_configs, stars_and_bars
 
 
 def params(a, n):
-    return FormulaParams(a[0], a[1], n[0], n[1], n[2])
+    return Params(a[0], a[1], n[0], n[1], n[2])
 
 
 def test_binomial_conventions():
@@ -37,22 +38,40 @@ def test_stars_and_bars():
         stars_and_bars(-1, 2)
 
 
-def test_params_validation():
-    with pytest.raises(ValueError, match="oracle"):
-        FormulaParams(1, 2, 2, 1, 2)
-    with pytest.raises(ValueError):
-        FormulaParams(0, 2, 2, 2, 2)
-    FormulaParams(3, 1, 2, 2, 2)  # a1 > a2 is allowed
-    # operator.index refuses a float or a string rather than truncating it
-    for bad in ((1.5, 2, 2, 3, 2), ("1", 2, 2, 3, 2)):
-        with pytest.raises(ValueError, match="must be integers"):
-            FormulaParams(*bad)
+SMALL_COEFFICIENT = (
+    "closed form requires n1, n2, n3 >= 2; "
+    "use the recurrence or quotient oracle for smaller coefficients"
+)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [interval_counts, closed_form_dim, count_canonical],
+    ids=["interval_counts", "closed_form_dim", "count_canonical"],
+)
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 2, 2, 1, 2), SMALL_COEFFICIENT),
+        ((0, 2, 2, 2, 2), "chain labels must be >= 1, got (0, 2)"),
+        # operator.index refuses a float or a string rather than truncating it
+        ((1.5, 2, 2, 3, 2), "closed-form parameters must be integers, got (1.5, 2, 2, 3, 2)"),
+        (("1", 2, 2, 3, 2), "closed-form parameters must be integers, got ('1', 2, 2, 3, 2)"),
+        # the checks run in this order: integers, then labels, then coefficients
+        ((0, 2, 1.5, 3, 2), "closed-form parameters must be integers, got (0, 2, 1.5, 3, 2)"),
+        ((0, 2, 2, 1, 2), "chain labels must be >= 1, got (0, 2)"),
+    ],
+    ids=["small", "label", "float", "string", "float-first", "label-first"],
+)
+def test_params_validation(fn, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(*args)
 
 
 def test_total_configs_examples():
-    assert interval_counts(params((1, 2), (2, 2, 2))).total == 5
-    assert interval_counts(params((2, 2), (2, 3, 2))).total == 27
-    assert interval_counts(params((1, 1), (2, 2, 2))).total == 3
+    assert interval_counts(1, 2, 2, 2, 2).total == 5
+    assert interval_counts(2, 2, 2, 3, 2).total == 27
+    assert interval_counts(1, 1, 2, 2, 2).total == 3
 
 
 def list_sum_total(p):
@@ -67,7 +86,7 @@ def test_total_configs_closes_the_rectangle_sum():
     labels = (1, 2, 3, 4, 5, 10**12)
     for a1, a2, *n in itertools.product(labels, labels, *[range(2, 12)] * 3):
         p = params((a1, a2), n)
-        assert interval_counts(p).total == list_sum_total(p), (a1, a2, n)
+        assert interval_counts(*p).total == list_sum_total(p), (a1, a2, n)
     # and the double sum over first intervals (i, j), term by term, on a smaller box
     for a1, a2, *n in itertools.product(labels, labels, *[range(2, 7)] * 3):
         p = params((a1, a2), n)
@@ -77,11 +96,11 @@ def test_total_configs_closes_the_rectangle_sum():
             for j in range(min(a2, p.n3) + 1)
             if (i, j) != (0, 0)
         )
-        assert interval_counts(p).total == rectangle, (a1, a2, n)
+        assert interval_counts(*p).total == rectangle, (a1, a2, n)
     # and the enumerated configurations
     for a1, a2, *n in itertools.product(labels, labels, *[range(2, 4)] * 3):
         p = params((a1, a2), n)
-        assert interval_counts(p).total == len(enumerate_configs(p)), (a1, a2, n)
+        assert interval_counts(*p).total == len(enumerate_configs(p)), (a1, a2, n)
 
 
 def test_huge_labels_cost_no_more_than_the_weight():
@@ -90,30 +109,37 @@ def test_huge_labels_cost_no_more_than_the_weight():
     for n in ((2, 2, 2), (3, 4, 2), (5, 3, 4)):
         start = time.monotonic()
         huge = params((10**12, 2), n), params((2, 10**12), n), params((10**12, 10**12), n)
-        values = [interval_counts(p) for p in huge]
+        values = [interval_counts(*p) for p in huge]
         assert time.monotonic() - start < 1.0
         small = params((10**3, 2), n), params((2, 10**3), n), params((10**3, 10**3), n)
-        assert values == [interval_counts(p) for p in small]
+        assert values == [interval_counts(*p) for p in small]
 
 
 def test_count_dependent_examples():
-    p = interval_counts(params((1, 2), (2, 2, 2)))
-    assert p.dependent(Variant.SECTION44) == p.dependent_section44 == 3
-    assert p.dependent(Variant.LEMMA410) == p.dependent_lemma410 == 2
-    assert p.dependent(Variant.GUARDED) == p.dependent_guarded == 1
-    q = interval_counts(params((2, 2), (2, 3, 2)))
-    assert {q.dependent(v) for v in Variant} == {6}
+    p = interval_counts(1, 2, 2, 2, 2)
+    assert p.dependent("section44") == p.dependent_section44 == 3
+    assert p.dependent("lemma410") == p.dependent_lemma410 == 2
+    assert p.dependent("guarded") == p.dependent_guarded == 1
+    q = interval_counts(2, 2, 2, 3, 2)
+    assert {q.dependent(v) for v in VARIANTS} == {6}
 
 
 def test_count_dependent_accepts_strings_and_rejects_unknown():
-    counts = interval_counts(params((1, 2), (2, 2, 2)))
+    counts = interval_counts(1, 2, 2, 2, 2)
     assert counts.dependent("lemma410") == 2
-    with pytest.raises(ValueError):
-        counts.dependent("fancy")
+    # an unknown variant is refused, naming the three
+    message = "unknown variant 'best' (choose from section44, lemma410, guarded)"
+    for call in (
+        lambda: counts.dependent("best"),
+        lambda: counts.dim("best"),
+        lambda: closed_form_dim(1, 2, 2, 2, 2, variant="best"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def vanishing(p):
-    counts = interval_counts(p)
+    counts = interval_counts(*p)
     return counts.vanishing_first, counts.vanishing_second
 
 
@@ -124,32 +150,32 @@ def test_count_vanishing_examples():
 
 
 def test_closed_form_dim_showcase():
-    c = interval_counts(params((1, 2), (2, 2, 2)))
+    c = interval_counts(1, 2, 2, 2, 2)
     assert (c.total, c.dependent_guarded, c.vanishing_first, c.vanishing_second) == (5, 1, 1, 0)
-    assert closed_form_dim(params((1, 2), (2, 2, 2)), Variant.GUARDED) == c.dim() == 3
-    assert closed_form_dim(params((1, 2), (2, 2, 2)), Variant.SECTION44) == 1
-    assert closed_form_dim(params((1, 2), (2, 2, 2)), Variant.LEMMA410) == 2
+    assert closed_form_dim(1, 2, 2, 2, 2, "guarded") == c.dim() == 3
+    assert closed_form_dim(1, 2, 2, 2, 2, "section44") == 1
+    assert closed_form_dim(1, 2, 2, 2, 2, "lemma410") == 2
 
-    c = interval_counts(params((2, 2), (2, 3, 2)))
+    c = interval_counts(2, 2, 2, 3, 2)
     assert (c.total, c.vanishing_first, c.vanishing_second) == (27, 1, 1)
-    for v in Variant:
+    for v in VARIANTS:
         assert c.dependent(v) == 6
-        assert closed_form_dim(params((2, 2), (2, 3, 2)), v) == c.dim(v) == 19
+        assert closed_form_dim(2, 2, 2, 3, 2, v) == c.dim(v) == 19
 
 
 def applied(p):
     """Which vanishing counts the closed form subtracts: a count that applies is a binomial >= 1."""
-    counts = interval_counts(p)
+    counts = interval_counts(*p)
     return counts.vanishing_first > 0, counts.vanishing_second > 0
 
 
 def test_branches_follow_the_label_thresholds():
     # a1 = 1, a2 = 3: thresholds n2 >= 2 and n2 >= 4
     for n2, expected in ((2, (True, False)), (3, (True, False)), (4, (True, True))):
-        assert applied(FormulaParams(1, 3, 2, n2, 2)) == expected
+        assert applied(Params(1, 3, 2, n2, 2)) == expected
     # a1 = a2 = 3: single threshold at n2 >= 4
     for n2, expected in ((3, (False, False)), (4, (True, True))):
-        assert applied(FormulaParams(3, 3, 2, n2, 2)) == expected
+        assert applied(Params(3, 3, 2, n2, 2)) == expected
 
 
 def test_chain_reversal_mirrors_the_interval_model():
@@ -159,8 +185,8 @@ def test_chain_reversal_mirrors_the_interval_model():
     # symmetric in the colours, so it changes
     section44_differs = 0
     for a1, a2, n1, n2, n3 in itertools.product(range(1, 6), range(1, 6), *[range(2, 8)] * 3):
-        p = interval_counts(FormulaParams(a1, a2, n1, n2, n3))
-        q = interval_counts(FormulaParams(a2, a1, n3, n2, n1))
+        p = interval_counts(a1, a2, n1, n2, n3)
+        q = interval_counts(a2, a1, n3, n2, n1)
         for field in ("total", "dependent_lemma410", "dependent_guarded", "trivial"):
             assert getattr(p, field) == getattr(q, field), (field, a1, a2, n1, n2, n3)
         assert p.canonical == q.canonical, (a1, a2, n1, n2, n3)
@@ -171,34 +197,28 @@ def test_chain_reversal_mirrors_the_interval_model():
 
 def test_middle_branch_subtracts_the_smaller_label_count():
     # a1 > a2: for a2 + 1 <= n2 < a1 + 1 only the second count applies
-    p = FormulaParams(3, 1, 2, 2, 2)
+    p = Params(3, 1, 2, 2, 2)  # a1 > a2 is allowed
     assert applied(p) == (False, True)
-    c = interval_counts(p)
-    assert closed_form_dim(p) == c.total - c.dependent_guarded - c.vanishing_second
+    c = interval_counts(*p)
+    assert closed_form_dim(*p) == c.total - c.dependent_guarded - c.vanishing_second
 
 
 def test_hyperbolic_specialization():
-    # (a1, a2) = (1, 2) is the hyperbolic chain; GUARDED is the default variant
-    assert closed_form_dim(FormulaParams(1, 2, 2, 2, 2)) == 3
+    # (a1, a2) = (1, 2) is the hyperbolic chain; "guarded" is the default variant
+    assert closed_form_dim(1, 2, 2, 2, 2) == 3
     for n in itertools.product((2, 3, 4), repeat=3):
-        p = FormulaParams(1, 2, *n)
-        assert closed_form_dim(p) == closed_form_dim(p, Variant.GUARDED)
-        counts = interval_counts(p)
+        assert closed_form_dim(1, 2, *n) == closed_form_dim(1, 2, *n, "guarded")
+        counts = interval_counts(1, 2, *n)
         assert (counts.dependent(), counts.dim()) == (
             counts.dependent_guarded,
-            counts.dim(Variant.GUARDED),
+            counts.dim("guarded"),
         )
 
 
 def test_breakdowns_are_deterministic():
     p = params((2, 3), (3, 4, 2))
-    assert interval_counts(p) == interval_counts(p)
-    assert closed_form_dim(p) == closed_form_dim(p)
-    # the parameters are a checked named tuple, and _replace checks again
-    assert repr(p) == "FormulaParams(a1=2, a2=3, n1=3, n2=4, n3=2)"
-    assert p == (2, 3, 3, 4, 2) and p._replace(n2=5) == params((2, 3), (3, 5, 2))
-    with pytest.raises(ValueError, match="oracle"):
-        p._replace(n2=1)
+    assert interval_counts(*p) == interval_counts(*p)
+    assert closed_form_dim(*p) == closed_form_dim(*p)
 
 
 def test_formula_imports_only_the_standard_library():

@@ -21,13 +21,11 @@ PUBLIC = {
     "rank3_chain",
     "MultiplicityTable",
     "SerreQuotient",
-    "FormulaParams",
     "closed_form_dim",
     "count_canonical",
     "parse_bracket",
     "to_standard_form",
     "free_lie_dim",
-    "Variant",
     "OracleScaleError",
     "RecurrenceError",
     "ParseError",

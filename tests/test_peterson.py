@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -252,13 +253,15 @@ def test_filled_tables_are_pinned(chain, box):
 
 # the chains the theorem-level checks fill to the box (10, 10, 10)
 THEOREM_CHAINS = ((1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 3))
+# the root test also runs on the finite-type chain, which has no imaginary root
+ROOT_TEST_CHAINS = THEOREM_CHAINS + ((1, 1),)
 
 
 @pytest.fixture(scope="module")
 def filled_boxes():
     """Every multiplicity of the box (10, 10, 10), with its (lam, lam), per chain."""
     boxes = {}
-    for chain in THEOREM_CHAINS:
+    for chain in ROOT_TEST_CHAINS:
         table = MultiplicityTable(rank3_chain(*chain))
         table.multiplicity((10, 10, 10))
         A = table.algebra
@@ -280,19 +283,61 @@ def test_real_roots_have_multiplicity_one(filled_boxes, chain):
     assert len(real) > 3 and all(m == 1 for _, m in real)
 
 
-@pytest.mark.parametrize("chain", THEOREM_CHAINS)
+def connected(lam) -> bool:
+    """Whether the support of ``lam`` is connected on the chain 1-2-3: only {1, 3} is not."""
+    return bool(lam[1] or not (lam[0] and lam[2]))
+
+
+def is_root(A, lam) -> bool:
+    """Kac's root test (Prop. 5.1, Thm 5.4), from the Weyl group alone.
+
+    While some (A lam)_i is positive, lam is replaced by s_i lam =
+    lam - (A lam)_i alpha_i, which keeps a positive root positive unless it
+    is alpha_i.  A negative coefficient answers "not a root"; a simple root
+    answers "root", and so does a nonzero weight in the chamber (every
+    (A lam)_i <= 0) with connected support.  Each step lowers the height, so the walk
+    ends.
+    """
+    lam = list(lam)
+    while min(lam) >= 0:
+        if sum(lam) == 1:
+            return True
+        slopes = [sum(a * x for a, x in zip(row, lam)) for row in A]
+        i = max(range(len(lam)), key=slopes.__getitem__)
+        if slopes[i] <= 0:
+            return any(lam) and connected(lam)
+        lam[i] -= slopes[i]
+    return False
+
+
+@pytest.mark.parametrize("chain", ROOT_TEST_CHAINS)
 def test_chamber_weights_with_connected_support_are_roots(filled_boxes, chain):
     # Kac, Thm 5.4: a nonzero lam with (lam, alpha_i) <= 0 for every i and
-    # connected support is an imaginary root; on the chain 1-2-3 the only
-    # disconnected support is {1, 3}
+    # connected support is an imaginary root; every other root is a Weyl
+    # image of a simple root, so mult > 0 exactly where the walk says "root"
     A = rank3_chain(*chain)
     simples = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     chamber = [
         (lam, m)
         for lam, m, _ in filled_boxes[chain]
-        if all(form(A, lam, s) <= 0 for s in simples) and (lam[1] or not (lam[0] and lam[2]))
+        if all(form(A, lam, s) <= 0 for s in simples) and connected(lam)
     ]
-    assert len(chamber) >= 50 and all(m >= 1 for _, m in chamber)
+    assert all(m >= 1 for _, m in chamber)
+    # the finite-type chain (1, 1) has no imaginary root, so its chamber is empty
+    assert len(chamber) >= 50 if max(chain) >= 2 else not chamber
+    cells = filled_boxes[chain]
+    assert len(cells) == 11**3 - 1
+    assert [lam for lam, m, _ in cells if (m > 0) != is_root(A, lam)] == []
+
+
+@pytest.mark.parametrize("chain", [(1, 1), (1, 2), (2, 2), (2, 3)])
+def test_quotient_is_nonzero_exactly_at_roots(chain):
+    # the same root test against the quotient, which knows nothing of the Weyl group
+    A = rank3_chain(*chain)
+    engine = SerreQuotient(A)
+    weights = [lam for lam in weights_of_height(9) if max(lam) <= 4]
+    assert len(weights) == 114
+    assert [lam for lam in weights if (engine.multiplicity(lam) > 0) != is_root(A, lam)] == []
 
 
 # with a2 = 2, nodes {2, 3} form the affine A1^(1), whose imaginary roots are
@@ -340,3 +385,62 @@ def test_level_one_multiplicities_are_partition_numbers():
             assert reversed_table.multiplicity((n3, n2, 1)) == expected, lam
             roots += expected > 0
     assert roots == 331
+
+
+def level_mismatches(mult, level, weights):
+    """The weights of ``weights``, all of level n1 = ``level``, where the free-Lie identity fails.
+
+    If the positive levels up to ``level`` form the free Lie algebra on g_1,
+    then sum_{k | gcd lam} (L/k) mult(lam/k) = [e^lam] (ch g_1)^L at every lam
+    of level L, with ch g_1 = sum_{n1(mu) = 1} mult(mu) e^mu: the log of
+    prod_alpha (1 - e^alpha)^(mult alpha) = 1 - ch g_1, read at e^lam.
+    ``mult`` is asked only about weights below one of ``weights``.
+    """
+    top2 = max(n2 for _, n2, _ in weights)
+    top3 = max(n3 for _, _, n3 in weights)
+    top = max(n2 + n3 for _, n2, n3 in weights)
+    below = [
+        (m2, m3) for m2 in range(top2 + 1) for m3 in range(top3 + 1) if m2 + m3 <= top
+    ]
+    level_one = {m: mult((1, *m)) for m in below}
+    power = {(0, 0): 1}
+    for _ in range(level):
+        step: dict[tuple[int, int], int] = {}
+        for (p2, p3), c in power.items():
+            for (m2, m3), d in level_one.items():
+                key = (p2 + m2, p3 + m3)
+                if d and key[0] <= top2 and key[1] <= top3 and sum(key) <= top:
+                    step[key] = step.get(key, 0) + c * d
+        power = step
+    bad = []
+    for lam in weights:
+        g = math.gcd(*lam)
+        lhs = sum(
+            level // k * mult(tuple(c // k for c in lam)) for k in range(1, g + 1) if g % k == 0
+        )
+        if lhs != power.get(lam[1:], 0):
+            bad.append(lam)
+    return bad
+
+
+@pytest.mark.parametrize("chain", THEOREM_CHAINS)
+def test_levels_up_to_a1_are_free_on_level_one(filled_boxes, chain):
+    # the first relation with two e1's is (ad e1)^(1+a1) e2, at level 1 + a1:
+    # below it the positive levels are free on g_1, and at it they are not,
+    # so a chain with a1 = 1 has only the level that must fail
+    mults = {lam: m for lam, m, _ in filled_boxes[chain]}
+    a1 = chain[0]
+    for level in range(2, a1 + 2):
+        weights = [lam for lam in mults if lam[0] == level]
+        assert len(weights) == 11**2
+        bad = level_mismatches(mults.__getitem__, level, weights)
+        assert bool(bad) == (level > a1), (level, bad[:3])
+
+
+@pytest.mark.parametrize("chain", [(2, 2), (2, 3)])
+def test_quotient_level_two_is_free_on_level_one(chain):
+    # the quotient's own table, with neither the recurrence nor the Weyl group
+    engine = SerreQuotient(rank3_chain(*chain))
+    weights = [(2, n2, n3) for n2 in range(9) for n3 in range(9 - n2)]
+    assert len(weights) == 45
+    assert level_mismatches(engine.multiplicity, 2, weights) == []

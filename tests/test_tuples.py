@@ -4,11 +4,12 @@ import itertools
 
 import pytest
 
-from rootmult import FormulaParams, MultiplicityTable, OracleScaleError, SerreQuotient
+from rootmult import MultiplicityTable, OracleScaleError, SerreQuotient
 from rootmult.formula import CanonicalCount, count_canonical, interval_counts
 
 from conftest import (
     IntervalConfig,
+    Params,
     canonical_configs,
     compositions,
     config_to_tuple,
@@ -23,7 +24,7 @@ GRID_WEIGHTS = tuple(itertools.product((2, 3, 4), repeat=3))
 
 
 def params(a, n):
-    return FormulaParams(a[0], a[1], n[0], n[1], n[2])
+    return Params(a[0], a[1], n[0], n[1], n[2])
 
 
 def config(a, n, intervals):
@@ -79,10 +80,10 @@ def test_dependent_pattern_examples():
 
 
 def test_count_canonical_showcase():
-    assert count_canonical(params((1, 2), (2, 2, 2))) == CanonicalCount(
+    assert count_canonical(1, 2, 2, 2, 2) == CanonicalCount(
         raw=5, trivial=1, dependent=1, canonical=3
     )
-    c = count_canonical(params((2, 2), (2, 3, 2)))
+    c = count_canonical(2, 2, 2, 3, 2)
     assert (c.raw, c.trivial, c.dependent, c.canonical) == (27, 2, 6, 19)
 
 
@@ -103,7 +104,7 @@ def test_trivial_count_vs_closed_form_characterized():
     for a, n in itertools.product(GRID_LABELS, GRID_WEIGHTS):
         p = params(a, n)
         enumerated = sum(is_trivial_pattern(c) for c in enumerate_configs(p))
-        counts = interval_counts(p)
+        counts = interval_counts(*p)
         v1, v2 = counts.vanishing_first, counts.vanishing_second
         closed = (v1 if p.n2 >= 1 + p.a1 else 0) + (v2 if p.n2 >= 1 + p.a2 else 0)
         # each applied side matches only when one interval absorbs the remainder
@@ -166,6 +167,6 @@ def test_canonical_configs_match_counts():
         assert not any(t and d for t, d in zip(trivial, dependent)), (a, n)
         canonical = sum(not t and not d for t, d in zip(trivial, dependent))
         expected = CanonicalCount(len(configs), sum(trivial), sum(dependent), canonical)
-        assert count_canonical(p) == expected, (a, n)
+        assert count_canonical(*p) == expected, (a, n)
     p = params((2, 2), (2, 3, 2))
-    assert len(canonical_configs(p)) == count_canonical(p).canonical
+    assert len(canonical_configs(p)) == count_canonical(*p).canonical
