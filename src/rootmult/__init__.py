@@ -18,7 +18,7 @@ neither) does not load :mod:`rootmult.peterson`, :mod:`rootmult.serre` or
 """
 from typing import TYPE_CHECKING
 
-from .formula import closed_form_dim, count_canonical
+from .formula import closed_form_dim
 from .freelie import ParseError, free_lie_dim, parse_bracket, to_standard_form
 from .gcm import OracleScaleError, RecurrenceError, rank3_chain
 
@@ -35,7 +35,6 @@ __all__ = [
     "RecurrenceError",
     "SerreQuotient",
     "closed_form_dim",
-    "count_canonical",
     "free_lie_dim",
     "parse_bracket",
     "rank3_chain",

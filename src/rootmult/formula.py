@@ -10,14 +10,14 @@ threes.
 
 :func:`interval_counts` evaluates every count of the model at one weight,
 once, into an :class:`IntervalCounts`: the admissible configurations
-(``total``), the ones duplicating another configuration (``dependent``, one
+(``raw``), the ones duplicating another configuration (``dependent``, one
 shape per name in :data:`VARIANTS`), the ones whose element is zero
 (``vanishing``, the paper's pooled count) and the per-colour trivial count.
 A ``compare`` row reads all of its closed-form columns from that one
 evaluation.  Each function takes the five integers a1, a2, n1, n2, n3 as
 plain arguments, and :func:`interval_counts` checks them.
 
-The paper's dimension is total minus dependent minus vanishing, piecewise in
+The paper's dimension is raw minus dependent minus vanishing, piecewise in
 n2: the vanishing count for label a_i is subtracted exactly when
 n2 >= 1 + a_i.  Both, one or neither may hold: for a1 <= a2 only the first
 count applies when 1 + a1 <= n2 < 1 + a2, and for a1 > a2 only the second
@@ -44,7 +44,7 @@ VARIANTS = ("section44", "lemma410", "guarded")
 class IntervalCounts(NamedTuple):
     """Every count of the interval model at one weight; see :func:`interval_counts`."""
 
-    total: int
+    raw: int
     dependent_section44: int
     dependent_lemma410: int
     dependent_guarded: int
@@ -58,13 +58,13 @@ class IntervalCounts(NamedTuple):
         return getattr(self, "dependent_" + variant)
 
     def dim(self, variant: str = "guarded") -> int:
-        """The closed form: total minus dependent minus the applied vanishing counts."""
-        return self.total - self.dependent(variant) - self.vanishing_first - self.vanishing_second
+        """The closed form: raw minus dependent minus the applied vanishing counts."""
+        return self.raw - self.dependent(variant) - self.vanishing_first - self.vanishing_second
 
     @property
     def canonical(self) -> int:
-        """The interval model's count: total minus per-colour trivial minus guarded dependent."""
-        return self.total - self.trivial - self.dependent_guarded
+        """The interval model's count: raw minus per-colour trivial minus guarded dependent."""
+        return self.raw - self.trivial - self.dependent_guarded
 
 
 def interval_counts(a1: int, a2: int, n1: int, n2: int, n3: int) -> IntervalCounts:
@@ -78,7 +78,7 @@ def interval_counts(a1: int, a2: int, n1: int, n2: int, n3: int) -> IntervalCoun
     ways to spread the other 1s over the other n2 - 1 intervals, and
     likewise for the 3s.
 
-    * ``total`` sums the product over first intervals (i, j) with
+    * ``raw`` sums the product over first intervals (i, j) with
       0 <= i <= min(a1, n1), 0 <= j <= min(a2, n3), (i, j) != (0, 0).
       Contents past n1 or n3 would leave a negative ball count, a zero
       binomial, so the sums stop there.  The 1s and the 3s spread
@@ -125,7 +125,7 @@ def interval_counts(a1: int, a2: int, n1: int, n2: int, n3: int) -> IntervalCoun
     threes_first = comb(n3 + k, k)
     ones_sum = comb(n1 + k + 1, k + 1) - comb(n1 + k - min(a1, n1), k + 1)
     threes_sum = comb(n3 + k + 1, k + 1) - comb(n3 + k - min(a2, n3), k + 1)
-    total = ones_sum * threes_sum - ones_first * threes_first
+    raw = ones_sum * threes_sum - ones_first * threes_first
 
     ones_pair = comb(n1 - 2 + k, k)
     ones_term = ones_pair * threes_first
@@ -142,7 +142,7 @@ def interval_counts(a1: int, a2: int, n1: int, n2: int, n3: int) -> IntervalCoun
         vanishing_second = comb(n1 + n3 - 1 + m2, m2)
         trivial += comb(n1 + m2, m2) * comb(n3 - 1 + m2, m2)
     return IntervalCounts(
-        total,
+        raw,
         section44,
         ones_term + threes_term,
         guarded,
@@ -157,21 +157,3 @@ def closed_form_dim(
 ) -> int:
     """The paper's piecewise dimension at one weight, with the given dependent shape."""
     return interval_counts(a1, a2, n1, n2, n3).dim(variant)
-
-
-# kept only for the benchmark's tuples.configs counter, which reads .raw
-class CanonicalCount(NamedTuple):
-    raw: int
-    trivial: int
-    dependent: int
-    canonical: int
-
-
-def count_canonical(a1: int, a2: int, n1: int, n2: int, n3: int) -> CanonicalCount:
-    """Closed-form count of the model: canonical = raw - trivial - dependent.
-
-    All four come from :func:`interval_counts`: raw is the total, trivial
-    the per-colour trivial count and dependent the guarded dependent count.
-    """
-    counts = interval_counts(a1, a2, n1, n2, n3)
-    return CanonicalCount(counts.total, counts.trivial, counts.dependent_guarded, counts.canonical)

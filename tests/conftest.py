@@ -100,6 +100,15 @@ def weights_up_to(height: int):
     )
 
 
+def weights_of_height(limit: int, lo: int = 1) -> Iterator[tuple[int, int, int]]:
+    """Rank-3 weights of height ``lo``..``limit``, in lexicographic order."""
+    for n1 in range(limit + 1):
+        for n2 in range(limit + 1):
+            for n3 in range(limit + 1):
+                if lo <= n1 + n2 + n3 <= limit:
+                    yield (n1, n2, n3)
+
+
 class OffByOneTable(MultiplicityTable):
     """A recurrence whose convolution at weight (1, 2, 2) is off by denom * lead.
 
@@ -232,6 +241,11 @@ class Params(NamedTuple):
     n3: int
 
 
+def params(a: tuple[int, int], n: tuple[int, int, int]) -> Params:
+    """The model point of chain ``a`` at weight ``n``."""
+    return Params(a[0], a[1], n[0], n[1], n[2])
+
+
 @dataclass(frozen=True)
 class IntervalConfig:
     """Ball counts (ones, threes) per interval, first (rightmost) interval first."""
@@ -276,7 +290,7 @@ def enumerate_configs(p: Params) -> list[IntervalConfig]:
     """All admissible configurations, in a fixed deterministic order.
 
     First-interval contents ascend lexicographically, then the remaining 1s,
-    then the remaining 3s.  The list length is ``interval_counts(*p).total``.
+    then the remaining 3s.  The list length is ``interval_counts(*p).raw``.
     """
     out: list[IntervalConfig] = []
     for i in range(min(p.a1, p.n1) + 1):

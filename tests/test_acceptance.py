@@ -47,17 +47,10 @@ from conftest import (
     random_expr,
     standard_tuples_of_weight,
     stars_and_bars,
+    weights_of_height,
 )
 
 CHAINS = ((1, 1), (1, 2), (2, 2))
-
-
-def weights_of_height(limit: int, lo: int = 1):
-    for n1 in range(limit + 1):
-        for n2 in range(limit + 1):
-            for n3 in range(limit + 1):
-                if lo <= n1 + n2 + n3 <= limit:
-                    yield (n1, n2, n3)
 
 
 def report(line: str) -> None:
@@ -137,7 +130,7 @@ def test_ac05_stars_and_bars_brute_force():
 
 def test_ac06_formula_arithmetic():
     counts = interval_counts(1, 2, 2, 2, 2)
-    assert counts.total == 5
+    assert counts.raw == 5
     assert (counts.vanishing_first, counts.vanishing_second) == (1, 0)
     expected = {"section44": (3, 1), "lemma410": (2, 2), "guarded": (1, 3)}
     for variant, (b, dim) in expected.items():
@@ -145,7 +138,7 @@ def test_ac06_formula_arithmetic():
         assert closed_form_dim(1, 2, 2, 2, 2, variant) == dim, variant
 
     counts = interval_counts(2, 2, 2, 3, 2)
-    assert counts.total == 27
+    assert counts.raw == 27
     assert (counts.vanishing_first, counts.vanishing_second) == (1, 1)
     for variant in VARIANTS:
         assert counts.dependent(variant) == 6
@@ -190,7 +183,7 @@ def test_ac08_combinatorial_identities():
             p = Params(a1, a2, *n)
             counts = interval_counts(*p)
             configs = enumerate_configs(p)
-            if len(configs) != counts.total:
+            if len(configs) != counts.raw:
                 total_bad.append(((a1, a2), n))
             dep = sum(is_dependent_pattern(c) for c in configs)
             if dep != counts.dependent("guarded"):

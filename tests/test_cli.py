@@ -21,7 +21,7 @@ import rootmult.cli as cli
 import rootmult.peterson as peterson
 import rootmult.serre as serre
 from rootmult import OracleScaleError, RecurrenceError, closed_form_dim
-from rootmult.formula import VARIANTS, count_canonical, interval_counts
+from rootmult.formula import VARIANTS, interval_counts
 from rootmult.freelie import (
     MAX_BRACKET_DEPTH,
     MAX_EXPAND_WORDS,
@@ -382,7 +382,7 @@ def test_values_past_the_digit_limit_exit_3(capsys):
         (
             ("mult", "--gcm", "1,2", "--weight", "8000,8000,2", "--method", "tuples"),
             (8000, 8000, 2),
-            count_canonical(*params).canonical,
+            interval_counts(*params).canonical,
         ),
     ):
         assert run(*argv) == (cli.EXIT_COMPUTE, "")
@@ -394,6 +394,23 @@ def test_values_past_the_digit_limit_exit_3(capsys):
         # the count is exact: the value lies in [10**(digits - 1), 10**digits)
         assert 10 ** (digits - 1) <= value < 10**digits
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_digit_count_corrects_the_bit_length_estimate():
+    # 2**14290 has 4302 digits; its bit length estimates 4303, one too many
+    value = 2**14290
+    assert value.bit_length() * 30103 // 100000 + 1 == 4303
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(OverflowError) as caught:
+            cli._print_value((1, 2, 3), value, io.StringIO())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(caught.value) == (
+        "the value at weight (1, 2, 3) has 4302 decimal digits, over the interpreter's "
+        "limit of 4300 digits for printing an integer (sys.get_int_max_str_digits())"
+    )
 
 
 def test_compare_csv_shape():
@@ -558,8 +575,8 @@ def test_compare_row_matches_the_library():
             for variant, column in zip(VARIANTS, columns):
                 dim = closed_form_dim(a1, a2, *n, variant)
                 assert column == dim, (a1, a2, n, variant)
-                assert dim == counts.total - counts.dependent(variant) - vanishing
-            assert row.tuples_canonical == count_canonical(a1, a2, *n).canonical, (a1, a2, n)
+                assert dim == counts.raw - counts.dependent(variant) - vanishing
+            assert row.tuples_canonical == counts.canonical, (a1, a2, n)
             rows += 1
     assert rows == 16 * 8**3
 

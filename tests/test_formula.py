@@ -10,14 +10,11 @@ from pathlib import Path
 import pytest
 
 import rootmult.formula
-from rootmult import closed_form_dim, count_canonical
+from rootmult import closed_form_dim
+from rootmult.cli import count_canonical
 from rootmult.formula import VARIANTS, interval_counts
 
-from conftest import Params, binomial, enumerate_configs, stars_and_bars
-
-
-def params(a, n):
-    return Params(a[0], a[1], n[0], n[1], n[2])
+from conftest import Params, binomial, enumerate_configs, params, stars_and_bars
 
 
 def test_binomial_conventions():
@@ -69,9 +66,9 @@ def test_params_validation(fn, args, message):
 
 
 def test_total_configs_examples():
-    assert interval_counts(1, 2, 2, 2, 2).total == 5
-    assert interval_counts(2, 2, 2, 3, 2).total == 27
-    assert interval_counts(1, 1, 2, 2, 2).total == 3
+    assert interval_counts(1, 2, 2, 2, 2).raw == 5
+    assert interval_counts(2, 2, 2, 3, 2).raw == 27
+    assert interval_counts(1, 1, 2, 2, 2).raw == 3
 
 
 def list_sum_total(p):
@@ -86,7 +83,7 @@ def test_total_configs_closes_the_rectangle_sum():
     labels = (1, 2, 3, 4, 5, 10**12)
     for a1, a2, *n in itertools.product(labels, labels, *[range(2, 12)] * 3):
         p = params((a1, a2), n)
-        assert interval_counts(*p).total == list_sum_total(p), (a1, a2, n)
+        assert interval_counts(*p).raw == list_sum_total(p), (a1, a2, n)
     # and the double sum over first intervals (i, j), term by term, on a smaller box
     for a1, a2, *n in itertools.product(labels, labels, *[range(2, 7)] * 3):
         p = params((a1, a2), n)
@@ -96,11 +93,11 @@ def test_total_configs_closes_the_rectangle_sum():
             for j in range(min(a2, p.n3) + 1)
             if (i, j) != (0, 0)
         )
-        assert interval_counts(*p).total == rectangle, (a1, a2, n)
+        assert interval_counts(*p).raw == rectangle, (a1, a2, n)
     # and the enumerated configurations
     for a1, a2, *n in itertools.product(labels, labels, *[range(2, 4)] * 3):
         p = params((a1, a2), n)
-        assert interval_counts(*p).total == len(enumerate_configs(p)), (a1, a2, n)
+        assert interval_counts(*p).raw == len(enumerate_configs(p)), (a1, a2, n)
 
 
 def test_huge_labels_cost_no_more_than_the_weight():
@@ -151,13 +148,13 @@ def test_count_vanishing_examples():
 
 def test_closed_form_dim_showcase():
     c = interval_counts(1, 2, 2, 2, 2)
-    assert (c.total, c.dependent_guarded, c.vanishing_first, c.vanishing_second) == (5, 1, 1, 0)
+    assert (c.raw, c.dependent_guarded, c.vanishing_first, c.vanishing_second) == (5, 1, 1, 0)
     assert closed_form_dim(1, 2, 2, 2, 2, "guarded") == c.dim() == 3
     assert closed_form_dim(1, 2, 2, 2, 2, "section44") == 1
     assert closed_form_dim(1, 2, 2, 2, 2, "lemma410") == 2
 
     c = interval_counts(2, 2, 2, 3, 2)
-    assert (c.total, c.vanishing_first, c.vanishing_second) == (27, 1, 1)
+    assert (c.raw, c.vanishing_first, c.vanishing_second) == (27, 1, 1)
     for v in VARIANTS:
         assert c.dependent(v) == 6
         assert closed_form_dim(2, 2, 2, 3, 2, v) == c.dim(v) == 19
@@ -187,7 +184,7 @@ def test_chain_reversal_mirrors_the_interval_model():
     for a1, a2, n1, n2, n3 in itertools.product(range(1, 6), range(1, 6), *[range(2, 8)] * 3):
         p = interval_counts(a1, a2, n1, n2, n3)
         q = interval_counts(a2, a1, n3, n2, n1)
-        for field in ("total", "dependent_lemma410", "dependent_guarded", "trivial"):
+        for field in ("raw", "dependent_lemma410", "dependent_guarded", "trivial"):
             assert getattr(p, field) == getattr(q, field), (field, a1, a2, n1, n2, n3)
         assert p.canonical == q.canonical, (a1, a2, n1, n2, n3)
         assert (p.vanishing_first, p.vanishing_second) == (q.vanishing_second, q.vanishing_first)
@@ -200,7 +197,7 @@ def test_middle_branch_subtracts_the_smaller_label_count():
     p = Params(3, 1, 2, 2, 2)  # a1 > a2 is allowed
     assert applied(p) == (False, True)
     c = interval_counts(*p)
-    assert closed_form_dim(*p) == c.total - c.dependent_guarded - c.vanishing_second
+    assert closed_form_dim(*p) == c.raw - c.dependent_guarded - c.vanishing_second
 
 
 def test_hyperbolic_specialization():

@@ -414,6 +414,26 @@ def test_split_input_checks():
         expand_combination({(1, 0, 3): 1}, split=1)
 
 
+@pytest.mark.parametrize(
+    "expand, message",
+    [
+        (lambda: expand_combination({(1, 2): 1, (1, 2, 3): 1}), "standard tuples of mixed length"),
+        (
+            lambda: expand_combination({(1, 2, 3, 1): 1, (1, 2, 3): 1}, split=1),
+            "standard tuples of mixed length",
+        ),
+        (lambda: expand_combination({(): 1}), "empty standard tuple"),
+        (lambda: expand_tensor(0), "generator index 0 does not fit the word encoding"),
+        (lambda: expand_tensor((1, 256)), "generator index 256 does not fit the word encoding"),
+    ],
+    ids=["mixed-walk", "mixed-split", "empty-tuple", "index-0", "index-256"],
+)
+def test_expansion_input_messages(expand, message):
+    with pytest.raises(ValueError) as caught:
+        expand()
+    assert str(caught.value) == message
+
+
 def root_split_rewrites(rng: random.Random, count: int):
     """``count`` nonzero rewrites of [L, R] with |L| < |R|, and |R|, the root split."""
     while count:

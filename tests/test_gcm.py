@@ -49,6 +49,11 @@ def test_matrix_invariants_enforced():
         cartan_matrix(((2, -1, 0), (-1, 2, -2)))  # not square
 
 
+def test_empty_cartan_matrix():
+    with pytest.raises(ValueError, match="^empty Cartan matrix$"):
+        cartan_matrix(())
+
+
 # the malformed matrices of test_matrix_invariants_enforced, and a short last row
 MALFORMED = (
     ((1, 0), (0, 2)),

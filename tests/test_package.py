@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import io
 import subprocess
@@ -22,7 +23,6 @@ PUBLIC = {
     "MultiplicityTable",
     "SerreQuotient",
     "closed_form_dim",
-    "count_canonical",
     "parse_bracket",
     "to_standard_form",
     "free_lie_dim",
@@ -140,6 +140,35 @@ def test_engine_names_resolve_to_one_object_everywhere():
     assert rootmult.peterson.RecurrenceError is rootmult.RecurrenceError is cli.RecurrenceError
     assert rootmult.serre.DEFAULT_HEIGHT_CAP == rootmult.gcm.DEFAULT_HEIGHT_CAP == 10
     assert not hasattr(rootmult, "Missing")
+
+
+def package_imports(module: str) -> set[str]:
+    """The package modules that ``rootmult.<module>`` imports, function-level imports included."""
+    tree = ast.parse((ROOT / "src" / "rootmult" / f"{module}.py").read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is read from the package, rootmult
+            base = ".".join(filter(None, ["rootmult" if node.level else "", node.module]))
+            names += [f"{base}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("rootmult.")}
+
+
+def test_oracles_import_only_what_they_share():
+    # an oracle checks the others only while it shares no code with them; a
+    # new cross-import has to change this table
+    assert {
+        module: package_imports(module)
+        for module in ("formula", "peterson", "serre", "linalg", "gcm")
+    } == {
+        "formula": set(),
+        "peterson": {"gcm"},
+        "serre": {"freelie", "gcm", "linalg"},
+        "linalg": set(),
+        "gcm": set(),
+    }
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):

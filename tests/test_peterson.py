@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rootmult import MultiplicityTable, SerreQuotient, rank3_chain
 from rootmult.gcm import cartan_matrix
 
-from conftest import REVERSIBLE_CHAINS, OffByOneTable, form, weights_up_to
+from conftest import REVERSIBLE_CHAINS, OffByOneTable, form, weights_of_height, weights_up_to
 
 # the chains the Weyl-invariance test samples; (2, 2) is its own reversal
 WEYL_CHAINS = REVERSIBLE_CHAINS + ((2, 2),)
@@ -24,14 +24,6 @@ A3_POSITIVE_ROOTS = {
     (0, 1, 1),
     (1, 1, 1),
 }
-
-
-def weights_of_height(limit: int):
-    for n1 in range(limit + 1):
-        for n2 in range(limit + 1):
-            for n3 in range(limit + 1):
-                if 1 <= n1 + n2 + n3 <= limit:
-                    yield (n1, n2, n3)
 
 
 def test_base_cases(chain11, chain12, chain22):

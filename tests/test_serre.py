@@ -22,16 +22,9 @@ from conftest import (
     serre_relations,
     standard_tuples_of_weight,
     tuple_weight,
+    weights_of_height,
     weights_up_to,
 )
-
-
-def weights_of_height(limit: int):
-    for n1 in range(limit + 1):
-        for n2 in range(limit + 1):
-            for n3 in range(limit + 1):
-                if 1 <= n1 + n2 + n3 <= limit:
-                    yield (n1, n2, n3)
 
 
 # ---------------------------------------------------------------------------

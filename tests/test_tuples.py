@@ -5,11 +5,10 @@ import itertools
 import pytest
 
 from rootmult import MultiplicityTable, OracleScaleError, SerreQuotient
-from rootmult.formula import CanonicalCount, count_canonical, interval_counts
+from rootmult.formula import interval_counts
 
 from conftest import (
     IntervalConfig,
-    Params,
     canonical_configs,
     compositions,
     config_to_tuple,
@@ -17,14 +16,11 @@ from conftest import (
     independent_rank_check,
     is_dependent_pattern,
     is_trivial_pattern,
+    params,
 )
 
 GRID_LABELS = tuple(itertools.product((1, 2, 3), repeat=2))
 GRID_WEIGHTS = tuple(itertools.product((2, 3, 4), repeat=3))
-
-
-def params(a, n):
-    return Params(a[0], a[1], n[0], n[1], n[2])
 
 
 def config(a, n, intervals):
@@ -80,11 +76,10 @@ def test_dependent_pattern_examples():
 
 
 def test_count_canonical_showcase():
-    assert count_canonical(1, 2, 2, 2, 2) == CanonicalCount(
-        raw=5, trivial=1, dependent=1, canonical=3
-    )
-    c = count_canonical(2, 2, 2, 3, 2)
-    assert (c.raw, c.trivial, c.dependent, c.canonical) == (27, 2, 6, 19)
+    c = interval_counts(1, 2, 2, 2, 2)
+    assert (c.raw, c.trivial, c.dependent_guarded, c.canonical) == (5, 1, 1, 3)
+    c = interval_counts(2, 2, 2, 3, 2)
+    assert (c.raw, c.trivial, c.dependent_guarded, c.canonical) == (27, 2, 6, 19)
 
 
 def test_config_to_tuple_layout():
@@ -155,7 +150,7 @@ def test_rank_sandwich_small_grid(chain12, engine12):
 def test_canonical_configs_match_counts():
     """The closed-form counts equal the enumerated classification, term by term.
 
-    The enumeration is the reference for the total, the guarded dependent
+    The enumeration is the reference for the raw count, the guarded dependent
     count and the canonical count; no configuration is both trivial and
     dependent, so the two subtractions never remove one twice.
     """
@@ -166,7 +161,8 @@ def test_canonical_configs_match_counts():
         dependent = [is_dependent_pattern(c) for c in configs]
         assert not any(t and d for t, d in zip(trivial, dependent)), (a, n)
         canonical = sum(not t and not d for t, d in zip(trivial, dependent))
-        expected = CanonicalCount(len(configs), sum(trivial), sum(dependent), canonical)
-        assert count_canonical(*p) == expected, (a, n)
+        c = interval_counts(*p)
+        expected = (len(configs), sum(trivial), sum(dependent), canonical)
+        assert (c.raw, c.trivial, c.dependent_guarded, c.canonical) == expected, (a, n)
     p = params((2, 2), (2, 3, 2))
-    assert len(canonical_configs(p)) == count_canonical(*p).canonical
+    assert len(canonical_configs(p)) == interval_counts(*p).canonical
