@@ -498,7 +498,3 @@ def main(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
         code, error = EXIT_USAGE, exc
     print(f"error: {error}", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

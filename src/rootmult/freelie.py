@@ -38,7 +38,8 @@ MAX_REWRITE_STEPS = 1_000_000
 
 # most words one tensor expansion may hold: full expansions below the root,
 # and only the left quotient at the root when one is asked for; a split
-# combination holds each operator, each expanded part and the sum to it.
+# combination holds each operator, each suffix combination's expansion and
+# the sum to it.
 # The alternating right-nested bracket [e1,[e2,[e1,...]]] rewrites to a
 # single tuple, yet at 24 leaves it expands to 691,126 words, and each
 # further 2 leaves cost about 3.4x that
@@ -134,6 +135,14 @@ def weight_of(x: BracketExpr, rank: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _check_shape(x: BracketExpr) -> None:
+    """Unpack every node of an expression that is skipped, not evaluated."""
+    if not isinstance(x, int):
+        left, right = x
+        _check_shape(left)
+        _check_shape(right)
+
+
 # ---------------------------------------------------------------------------
 # tensor-algebra expansion
 # ---------------------------------------------------------------------------
@@ -215,6 +224,7 @@ def _tensor_words(x: BracketExpr, first: int | None) -> dict[bytes, int]:
     # child ends the bracket before its sibling is expanded
     left = _tensor_words(left, None)
     if not left:
+        _check_shape(right)
         return {}
     right = _tensor_words(right, None)
     if not right:
@@ -237,7 +247,8 @@ def expand_tensor(x: BracketExpr, first: int | None = None) -> NcPolynomial:
     begin with e_a, with that letter dropped.  Only the root bracket changes,
     a⁻¹[L, R] = (a⁻¹L)·R - (a⁻¹R)·L, with L and R expanded in full.
     A bracket with a zero child is zero, and its other child is not
-    expanded: L is expanded first, and R only when L is nonzero.
+    expanded: L is expanded first, and R only when L is nonzero; a skipped R
+    is only unpacked node by node, so a malformed node there still raises.
     Raises ``ValueError`` before forming a bracket whose 2*|L|*|R| words,
     or |a⁻¹L|*|R| + |a⁻¹R|*|L| at a quotient root, would pass
     :data:`MAX_EXPAND_WORDS`.
@@ -268,23 +279,24 @@ def expand_combination(
     With ``split`` = m, each tuple t of length n is read as u + s with
     |s| = m, and E(t) = ad(e_{u1})∘…∘ad(e_{uk})(E(s)), ad(e_x)P = xP - Px.
     The tuples are grouped by suffix s, and each group's sum of c·ad(u) is
-    expanded by the same walk into a two-sided operator {α·0·β: d}, meaning
-    the sum of d·α(·)β: it is the expansion of the tuples u + (0,), the
-    letter 0 marking where E(s) goes.  Groups that are proportional share
-    one walk.  The suffixes are then regrouped by operator word,
-    C_αβ = Σ_s d_s(α, β)·s, and each C_αβ, divided by its content with the
-    sign of its first coefficient, is expanded once per distinct value.
-    With ``first`` = a, a word whose α does not begin with a contributes
-    nothing, the others contribute α[1:]·E(C)·β, and an empty α takes the
-    a-quotient of E(C), read off E(C) when that is at hand.  The result is
-    the same for every m in 1..n; a split at the root of the tree the
-    tuples came from groups most.  The rewriter prints [L, R] as a Lie
-    element P of the shorter child applied to the longer child's tuples,
-    so every group's operator is a multiple of ad(P) = P⊗1 - 1⊗P, and
-    every C_αβ a multiple of that child's combination.  A split with fewer
-    than two letters before it runs the prefix walk, whose last level
-    already groups the tuples by their first letter.  Every operator,
-    every C_αβ's expansion and the sum are held to :data:`MAX_EXPAND_WORDS`.
+    a two-sided operator {α·0·β: d}, meaning the sum of d·α(·)β: it is the
+    expansion of the tuples u + (0,), the letter 0 marking where E(s) goes.
+    Suffixes whose operators are equal after division by their content g_s
+    form one operator group.  It walks its operator once, expands its
+    combination C = Σ_s g_s·s once and adds d·α·E(C)·β for each word.  With
+    ``first`` = a, a word whose α does not begin with a adds nothing, the
+    others add d·α[1:]·E(C)·β, and an empty α adds d·(a⁻¹E(C))·β.  E(C) is
+    expanded in full when some α begins with a, and a⁻¹E(C) is read off it;
+    otherwise only a⁻¹E(C) is walked.  The result is the same for every m
+    in 1..n; a split at the root of the tree the tuples came from groups
+    most.  The rewriter prints [L, R] as a Lie element P of the shorter
+    child applied to the longer child's tuples, so every operator is a
+    multiple of ad(P) = P⊗1 - 1⊗P and there is one group; only root
+    children of equal leaf count, whose pairs the rewriter orders one by
+    one, can form more.  A split with fewer than two letters before it runs
+    the prefix walk, whose last level already groups the tuples by their
+    first letter.  Every operator, every C's expansion and the sum are held
+    to :data:`MAX_EXPAND_WORDS`.
     """
     if split is None:
         return NcPolynomial(_combination_words(coeffs, first))
@@ -328,9 +340,7 @@ def _combination_words(coeffs: Mapping[StandardTuple, int], a: int | None) -> di
 
 def _content(coeffs: Mapping) -> tuple[int, tuple]:
     """(g, u) with coeffs = g·u: g the gcd, signed as the first coefficient, u as items."""
-    g = 0
-    for v in coeffs.values():
-        g = gcd(g, v)
+    g = gcd(*coeffs.values())
     if next(iter(coeffs.values())) < 0:
         g = -g
     return g, tuple((key, v // g) for key, v in coeffs.items())
@@ -361,41 +371,31 @@ def _split_words(
     for s, heads in groups.items():
         g, unit = _content(heads)
         operators.setdefault(unit, {})[s] = g
-    # C_αβ under its operator word α·0·β; every C lists its suffixes in the
-    # order of ``operators``, so proportional C have the same unit
-    parts: dict[bytes, dict[StandardTuple, int]] = {}
-    for unit, scales in operators.items():
-        for word, d in _combination_words(dict(unit), None).items():
-            if a is None or word[0] in (0, a):
-                part = parts.setdefault(word, {})
-                for s, g in scales.items():
-                    part[s] = d * g
-    expansions: dict[tuple, dict[bytes, int]] = {}
     out: dict[bytes, int] = {}
-    # full expansions first: the a-quotient of a C already expanded in full
-    # is read off it
-    for word in [w for w in parts if w[0]] + [w for w in parts if not w[0]]:
-        g, unit = _content(parts[word])
-        alpha, _, beta = word.partition(b"\0")
-        quotient = None if alpha else a
-        e = expansions.get((quotient, unit))
-        if e is None:
-            full = expansions.get((None, unit))
-            if full is not None:
-                e = _left_quotient(full, quotient)
-            else:
-                e = _combination_words(dict(unit), quotient)
-            expansions[quotient, unit] = e
-        if a is not None:
-            alpha = alpha[1:]
-        for w, c in e.items():
-            key = alpha + w + beta
-            v = out.get(key, 0) + g * c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        _expansion_limit(len(out))
+    for unit, scales in operators.items():
+        words = _combination_words(dict(unit), None)
+        # the group's suffix combination C = Σ g_s·s, expanded once: in full
+        # when some α begins with a, its a-quotient read off that expansion
+        if a is None or any(w[0] == a for w in words):
+            full = _combination_words(scales, None)
+            quotient = full if a is None else _left_quotient(full, a)
+        else:
+            quotient = _combination_words(scales, a)
+        for word, d in words.items():
+            if a is not None and word[0] not in (0, a):
+                continue
+            alpha, _, beta = word.partition(b"\0")
+            e = full if alpha else quotient
+            if a is not None:
+                alpha = alpha[1:]
+            for w, c in e.items():
+                key = alpha + w + beta
+                v = out.get(key, 0) + d * c
+                if v:
+                    out[key] = v
+                else:
+                    out.pop(key, None)
+            _expansion_limit(len(out))
     return out
 
 
@@ -423,7 +423,8 @@ def to_standard_form(x: BracketExpr) -> dict[StandardTuple, int]:
     tuple lengths k and longer; a rewrite charged more than
     :data:`MAX_REWRITE_STEPS` in all raises ``ValueError``.  The left child
     is rewritten first, and a bracket whose left child rewrites to zero is
-    zero at once: its right child is neither rewritten nor charged.  A zero
+    zero at once: its right child is neither rewritten nor charged, only
+    unpacked node by node, so a malformed node there still raises.  A zero
     right child is found only after the left child is rewritten and charged.
     """
     expansions: dict[StandardTuple, dict[StandardTuple, int]] = {}
@@ -447,6 +448,7 @@ def to_standard_form(x: BracketExpr) -> dict[StandardTuple, int]:
         left, right = x
         left = rewrite(left)
         if not left:
+            _check_shape(right)
             return {}
         right = rewrite(right)
         if not right:
@@ -503,9 +505,7 @@ def free_lie_dim(lam: Sequence[int]) -> int:
     """
     lam = query_weight(None, lam)
     n = sum(lam)
-    g = 0
-    for c in lam:
-        g = gcd(g, c)
+    g = gcd(*lam)
     total = 0
     for d in range(1, g + 1):
         if g % d:

@@ -132,8 +132,9 @@ def test_parse_keeps_deep_nesting_off_the_call_stack():
 def test_trees_are_ints_and_pairs():
     assert parse_bracket("[[e1,e2],e3]") == ((1, 2), 3)
     assert format_bracket(((1, 2), 3)) == "[[e1,e2],e3]"
-    # a node is unpacked as (left, right): any other arity is refused, not truncated
-    for bad in ((1, 2, 3), (1,), ((1, 2, 3), 1)):
+    # a node is unpacked as (left, right): any other arity is refused, not
+    # truncated, also in a right child skipped because its left sibling is zero
+    for bad in ((1, 2, 3), (1,), ((1, 2, 3), 1), ((1, 1), (1, 2, 3)), ((1, 1), (2, (1,)))):
         with pytest.raises(ValueError):
             weight_of(bad, 3)
         with pytest.raises(ValueError):
@@ -447,9 +448,9 @@ def root_split_rewrites(rng: random.Random, count: int):
 
 
 def test_root_split_walks_one_operator_and_one_combination(monkeypatch):
-    # every group's operator is a multiple of ad(E(L)), and every part a
-    # multiple of R's combination: one walk for each, and an a-quotient of R
-    # read off its full expansion
+    # every group's operator is a multiple of ad(E(L)), so the tuples form one
+    # operator group: one walk of its operator and one expansion of R's
+    # combination, whose a-quotient is read off the full expansion
     walk = freelie._combination_words
     calls = []
     monkeypatch.setattr(freelie, "_combination_words", lambda c, a: calls.append(a) or walk(c, a))
@@ -458,6 +459,34 @@ def test_root_split_walks_one_operator_and_one_combination(monkeypatch):
             calls.clear()
             expand_combination(combo, a, split=m)
             assert len(calls) <= 2 and calls[0] is None
+
+
+def test_equal_root_children_walk_each_operator_group_once(monkeypatch):
+    # with |L| = |R| the rewriter orders each pair of tuples on its own, so
+    # the suffixes can form several operator groups; each group walks its
+    # operator once and expands its suffix combination once
+    walk = freelie._combination_words
+    calls = []
+    monkeypatch.setattr(freelie, "_combination_words", lambda c, a: calls.append(a) or walk(c, a))
+    rng = random.Random(20261022)
+    found = several = 0
+    while found < 30:
+        m = rng.randint(3, 6)
+        expr = (random_expr(rng, m), random_expr(rng, m))
+        combo = to_standard_form(expr)
+        if not combo:
+            continue
+        found += 1
+        heads: dict = {}
+        for t, c in combo.items():
+            heads.setdefault(t[m:], {})[t[:m]] = c
+        groups = len({freelie._content(h)[1] for h in heads.values()})
+        several += groups > 1
+        for a in (i + 1 for i, c in enumerate(weight_of(expr, 3)) if c):
+            calls.clear()
+            expand_combination(combo, a, split=m)
+            assert len(calls) <= 2 * groups, (expr, a)
+    assert several, "no rewrite formed more than one operator group"
 
 
 def test_split_expansion_stops_past_the_word_limit(monkeypatch):
