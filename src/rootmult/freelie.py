@@ -339,11 +339,12 @@ def _combination_words(coeffs: Mapping[StandardTuple, int], a: int | None) -> di
 
 
 def _content(coeffs: Mapping) -> tuple[int, tuple]:
-    """(g, u) with coeffs = g·u: g the gcd, signed as the first coefficient, u as items."""
+    """(g, u) with coeffs = g·u: u as sorted items, g the gcd signed as the smallest key's."""
+    items = sorted(coeffs.items())
     g = gcd(*coeffs.values())
-    if next(iter(coeffs.values())) < 0:
+    if items[0][1] < 0:
         g = -g
-    return g, tuple((key, v // g) for key, v in coeffs.items())
+    return g, tuple((key, v // g) for key, v in items)
 
 
 def _split_words(

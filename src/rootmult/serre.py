@@ -55,10 +55,6 @@ class _Space(NamedTuple):
     raising: dict[int, Matrix]
 
 
-def _lower(mu: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return mu[:i] + (mu[i] - 1,) + mu[i + 1 :]
-
-
 class SerreQuotient:
     """Root spaces of one algebra, built from their f-images and memoized by weight.
 
@@ -109,31 +105,29 @@ class SerreQuotient:
     def _build(self, lam: tuple[int, ...]) -> _Space:
         """g_lam for height >= 2; every space below it must already be built.
 
-        When every g_{lam - alpha_j} below lam is zero there is no candidate,
-        and g_lam is stored as the zero space, with empty maps [e_j, .] from
-        each of them, without building blocks or running an elimination.
+        A generator i whose space g_{lam - alpha_i} is zero adds no candidate,
+        and its map [e_i, .] is stored empty.
         """
         A = self.algebra
         spaces = self._spaces
-        below = {j: spaces[_lower(lam, j)].dim for j, c in enumerate(lam) if c}
-        if not any(below.values()):
-            return _Space(0, [], [], 1, {j: ([], 1) for j in below})
+        low = {j: spaces[lam[:j] + (c - 1,) + lam[j + 1 :]] for j, c in enumerate(lam) if c}
         offsets: dict[int, int] = {}
         blocks: list[tuple[int, int]] = []
-        for j, dim in below.items():
+        for j, space in low.items():
             offsets[j] = len(blocks)
-            blocks.extend((j, k) for k in range(dim))
-        rows: list[Row] = []
-        sources: list[tuple[int, int, int]] = []  # (i, first row, denominator)
-        for i in offsets:
-            mu = _lower(lam, i)
-            src = spaces[mu]
+            blocks.extend((j, k) for k in range(space.dim))
+        basis = EchelonBasis()
+        candidates: dict[int, Matrix] = {}
+        for i, src in low.items():
+            if not src.dim:
+                continue
+            mu = lam[:i] + (lam[i] - 1,) + lam[i + 1 :]
             # [e_i, .] on block j runs from g_{lam - alpha_i - alpha_j} to g_{lam - alpha_j}
-            maps = {j: spaces[_lower(lam, j)].raising[i] for j, c in enumerate(mu) if c}
+            maps = {j: low[j].raising[i] for j, c in enumerate(mu) if c}
             common = math.lcm(1, *(den for _, den in maps.values()))
             scale = src.image_den * common
             shift = scale * sum(a * m for a, m in zip(A[i], mu))
-            sources.append((i, len(rows), scale))
+            rows: list[Row] = []
             for k, y in enumerate(src.images):
                 row: Row = {}
                 for c, v in y.items():
@@ -146,16 +140,12 @@ class SerreQuotient:
                 t = offsets[i] + k
                 row[t] = row.get(t, 0) - shift
                 rows.append({c: v for c, v in row.items() if v})
-        basis = EchelonBasis()
-        for row in rows:
-            basis.insert(row)
+                basis.insert(rows[-1])
+            candidates[i] = (rows, scale)
         pivots = basis.pivots
-        raising: dict[int, Matrix] = {}
-        for n, (i, first, den) in enumerate(sources):
-            last = sources[n + 1][1] if n + 1 < len(sources) else len(rows)
-            cols = [
-                {m: row[p] for m, p in enumerate(pivots) if p in row} for row in rows[first:last]
-            ]
+        raising: dict[int, Matrix] = {i: ([], 1) for i in low}
+        for i, (rows, den) in candidates.items():
+            cols = [{m: row[p] for m, p in enumerate(pivots) if p in row} for row in rows]
             g = math.gcd(den, *(v for col in cols for v in col.values()))
             raising[i] = ([_divide(col, g) for col in cols], den // g)
         image_den = math.lcm(1, *(b[p] for p, b in pivots.items()))

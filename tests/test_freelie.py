@@ -489,6 +489,21 @@ def test_equal_root_children_walk_each_operator_group_once(monkeypatch):
     assert several, "no rewrite formed more than one operator group"
 
 
+def test_equal_heads_in_another_order_form_one_operator_group(monkeypatch):
+    # suffix (1, 3) lists its heads as 1·(1,2) + 2·(2,1), suffix (3, 1) as
+    # -2·(2,1) - 1·(1,2): one operator up to content, so one operator walk
+    combo = {(1, 2, 1, 3): 1, (2, 1, 1, 3): 2, (2, 1, 3, 1): -2, (1, 2, 3, 1): -1}
+    walk = freelie._combination_words
+    calls = []
+    monkeypatch.setattr(freelie, "_combination_words", lambda c, a: calls.append(c) or walk(c, a))
+    for a in (None, 1, 3):
+        calls.clear()
+        split = expand_combination(combo, a, split=2)
+        operators = [c for c in calls if all(t[-1] == 0 for t in c)]
+        assert len(operators) == 1, a
+        assert split == expand_combination(combo, a), a
+
+
 def test_split_expansion_stops_past_the_word_limit(monkeypatch):
     expr = parse_bracket("[[e3,[[e3,e2],[[e3,e2],e2]]],[[[[e1,e2],e1],e2],[[e2,e3],[e1,e3]]]]")
     combo = to_standard_form(expr)

@@ -379,6 +379,21 @@ def test_level_one_multiplicities_are_partition_numbers():
     assert roots == 331
 
 
+@pytest.mark.parametrize("chain", THEOREM_CHAINS)
+def test_multiplicities_meet_frenkels_bound(filled_boxes, chain):
+    # Frenkel's bound (I. B. Frenkel, "Representations of Kac-Moody algebras
+    # and dual resonance models", Lect. Appl. Math. 21, AMS 1985), from the
+    # no-ghost theorem: if the root lattice of a Kac-Moody algebra, with
+    # (alpha_i, alpha_j) = A_ij, is an even Lorentzian lattice of rank d, then
+    # mult(alpha) <= p_{d-2}(1 - (alpha, alpha)/2) for every root alpha, where
+    # p_k counts the partitions into parts of k colours.  The chain matrix has
+    # determinant 8 - 2*a1^2 - 2*a2^2 < 0 off (1, 1), so d = 3 and p_1 = p.
+    roots = [(lam, m, 1 - norm // 2) for lam, m, norm in filled_boxes[chain] if m > 0]
+    p = partitions(max(k for _, _, k in roots))
+    assert [(lam, m) for lam, m, k in roots if m > p[k]] == []
+    assert any(m == p[k] for _, m, k in roots)
+
+
 def level_mismatches(mult, level, weights):
     """The weights of ``weights``, all of level n1 = ``level``, where the free-Lie identity fails.
 

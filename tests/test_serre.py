@@ -214,8 +214,8 @@ def test_quotient_mult_never_negative(engine12):
         assert engine12.multiplicity(lam) >= 0
 
 
-# sha1 of repr of every stored space after filling the box; computed before
-# zero spaces skipped the elimination, so the shortcut stores the same spaces
+# sha1 of repr of every stored space, maps in order, after filling the box;
+# computed when every space went through the elimination
 PINNED_SPACES = {
     ((1, 2), (4, 4, 4)): "ade7982881e56cbc2844a55be9f5d94be78a586b",
     ((1, 2), (6, 1, 3)): "2e78fe3fe63a9c6fd86cc4e9ed27a13fae249f03",
@@ -238,6 +238,10 @@ def test_space_over_zero_spaces_is_stored_empty(engine12):
     # g_(0,0,2) and g_(1,0,1) are zero on (1, 2), so g_(1,0,2) has no candidate
     assert engine12._space((0, 0, 2)).dim == engine12._space((1, 0, 1)).dim == 0
     assert engine12._space((1, 0, 2)) == _Space(0, [], [], 1, {0: ([], 1), 2: ([], 1)})
+    # g_(0,1,2) is over the zero g_(0,0,2) and the nonzero g_(0,1,1)
+    assert engine12._space((0, 1, 2)) == _Space(
+        1, [(2, 0)], [{0: 1}], 1, {1: ([], 1), 2: ([{0: 2}], 1)}
+    )
 
 
 def test_shared_suffixes_evaluate_as_fresh_tuples(engine12):
