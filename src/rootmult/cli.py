@@ -34,7 +34,14 @@ from .freelie import (
     to_standard_form,
     weight_of,
 )
-from .gcm import DEFAULT_HEIGHT_CAP, OracleScaleError, RecurrenceError, query_weight, rank3_chain
+from .gcm import (
+    DEFAULT_HEIGHT_CAP,
+    OracleScaleError,
+    RecurrenceError,
+    query_weight,
+    rank3_chain,
+    reduce_to_chamber,
+)
 
 # the name bench/spans.py wraps to count tuples.configs (it reads .raw); it
 # stays until that counter is retired (ROADMAP item 4)
@@ -164,7 +171,10 @@ def _cmd_mult(args: SimpleNamespace, out: IO[str]) -> int:
     if args.method == "peterson":
         from .peterson import MultiplicityTable
 
-        value = MultiplicityTable(algebra).multiplicity(weight)
+        # the table fills the box below the weight it is asked, so it is asked
+        # the chamber weight; the quotient's value must not rest on Weyl invariance
+        low = reduce_to_chamber(algebra, weight)
+        value = 0 if low is None else MultiplicityTable(algebra).multiplicity(low)
     elif args.method == "quotient":
         from .serre import SerreQuotient
 

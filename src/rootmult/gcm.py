@@ -96,3 +96,27 @@ def query_weight(A: CartanMatrix | None, lam: Sequence[int]) -> tuple[int, ...]:
     if sum(w) < 1:
         raise ValueError("weight must have height >= 1")
     return w
+
+
+def reduce_to_chamber(A: CartanMatrix, lam: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The weight of the chamber, or a simple root, that ``lam`` reflects down to.
+
+    While the height is at least 2 and some (A lam)_i is positive, lam is
+    replaced by s_i lam = lam - (A lam)_i alpha_i, for the first such i; each
+    step lowers the height, so the walk ends.  Multiplicities are
+    Weyl-invariant (Kac, *Infinite-dimensional Lie algebras*, Prop. 5.1), so
+    mult(lam) is mult of the result.  A negative coefficient on the way
+    means lam is not a root, and the answer is None.
+    """
+    lam = list(lam)
+    while sum(lam) >= 2:
+        for i, row in enumerate(A):
+            p = sum(a * c for a, c in zip(row, lam))
+            if p > 0:
+                break
+        else:
+            break
+        lam[i] -= p
+        if lam[i] < 0:
+            return None
+    return tuple(lam)

@@ -164,33 +164,22 @@ class SerreQuotient:
                     spaces[mu] = self._build(mu)
         return spaces[coeffs]
 
-    def _evaluate(
-        self,
-        t: StandardTuple,
-        done: dict[StandardTuple, tuple[Row, int]],
-    ) -> tuple[Row, int]:
+    def _evaluate(self, t: StandardTuple) -> tuple[Row, int]:
         """Coordinates of the left-normed bracket ``t`` as (integers, denominator).
 
         The bracket is E_{t1} ... E_{t(n-1)} e_{tn}, applied right to left;
-        every space on the way must already be built.  ``done`` maps suffixes
-        of earlier tuples to their coordinates: the walk starts from the
-        longest suffix of ``t`` found there and records each suffix it makes.
+        every space on the way must already be built.
         """
-        n = len(t)
-        start = next((k for k in range(n - 1) if t[k:] in done), n - 1)
         mu = [0] * len(self.algebra)
-        for s in t[start:]:
-            mu[s - 1] += 1
-        vec, den = done[t[start:]] if start < n - 1 else ({0: 1}, 1)
-        for k in range(start - 1, -1, -1):
-            s = t[k]
+        mu[t[-1] - 1] = 1
+        vec, den = {0: 1}, 1
+        for s in reversed(t[:-1]):
             mu[s - 1] += 1
             cols, d = self._spaces[tuple(mu)].raising[s - 1]
             out: Row = {}
             for c, v in vec.items():
                 _axpy(out, v, cols[c])
             vec, den = out, den * d
-            done[t[k:]] = vec, den
         return vec, den
 
     def multiplicity(self, lam: Sequence[int]) -> int:
@@ -212,9 +201,8 @@ class SerreQuotient:
         Each tuple t is evaluated as E_{t1} ... E_{t(n-1)} e_{tn} through the
         matrices of [e_i, .]; the result is the rank of those coordinates.
         The family may be any iterable; it is read once.  The tuples are
-        evaluated one at a time, each from the longest suffix it shares with
-        a tuple evaluated before it in the same call, and the rest are skipped
-        once the rank reaches dim g_lam, which it cannot pass.
+        evaluated one at a time, and the rest are skipped once the rank
+        reaches dim g_lam, which it cannot pass.
         """
         lam = query_weight(self.algebra, lam)
         self._check_height(lam)
@@ -231,9 +219,8 @@ class SerreQuotient:
             return 0
         dim = self._space(lam).dim
         basis = EchelonBasis()
-        done: dict[StandardTuple, tuple[Row, int]] = {}
         for t in family:
             if basis.rank == dim:
                 break
-            basis.insert(self._evaluate(t, done)[0])
+            basis.insert(self._evaluate(t)[0])
         return basis.rank

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rootmult.cli as cli
+import rootmult.gcm as gcm
 import rootmult.peterson as peterson
 import rootmult.serre as serre
 from rootmult import OracleScaleError, RecurrenceError, closed_form_dim
@@ -57,6 +58,28 @@ def test_mult_methods():
         "--variant", "section44",
     )
     assert (code, out) == (0, "1\n")
+
+
+def test_mult_peterson_asks_the_table_at_the_chamber_weight(monkeypatch):
+    reduced = []
+
+    def reduce(A, lam):
+        reduced.append(lam)
+        return gcm.reduce_to_chamber(A, lam)
+
+    monkeypatch.setattr(cli, "reduce_to_chamber", reduce)
+    # (33,34,33) reflects to (1,33,33): a box of 2,312 cells, not 40,460
+    start = time.monotonic()
+    argv = ("mult", "--gcm", "1,2", "--method", "peterson", "--weight")
+    assert run(*argv, "33,34,33") == (0, "10143\n")
+    assert time.monotonic() - start <= 1.0
+    assert run(*argv, "2,0,0") == (0, "0\n")  # 2 alpha_1 reflects to -2 alpha_1
+    assert run(*argv, "0,1,0") == (0, "1\n")
+    assert reduced == [(33, 34, 33), (2, 0, 0), (0, 1, 0)]
+    # the quotient's value must not rest on Weyl invariance, so it never reflects
+    quotient = run("mult", "--gcm", "1,2", "--weight", "2,2,1", "--method", "quotient")
+    assert quotient == run(*argv, "2,2,1") == (0, "1\n")
+    assert reduced[3:] == [(2, 2, 1)]
 
 
 def test_mult_formula_rejects_small_coefficients(capsys):

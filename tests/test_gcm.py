@@ -8,7 +8,7 @@ import re
 import pytest
 
 from rootmult import MultiplicityTable, SerreQuotient, free_lie_dim, rank3_chain
-from rootmult.gcm import cartan_matrix, query_weight
+from rootmult.gcm import cartan_matrix, query_weight, reduce_to_chamber
 
 from conftest import form, standard_tuples_of_weight
 
@@ -183,3 +183,13 @@ def test_symmetric_form_is_symmetric_and_bilinear():
         assert form(A, x, y) == form(A, y, x)
         xz = tuple(a + b for a, b in zip(x, z))
         assert form(A, xz, y) == form(A, x, y) + form(A, z, y)
+
+
+def test_reduce_to_chamber_reflects_down_to_the_chamber():
+    A = rank3_chain(1, 2)
+    # (A lam) = (32, -31, -2): s_1 gives (1, 34, 33), then s_2 gives (1, 33, 33)
+    assert reduce_to_chamber(A, (33, 34, 33)) == (1, 33, 33)
+    assert reduce_to_chamber(A, (1, 33, 33)) == (1, 33, 33)
+    assert reduce_to_chamber(A, (0, 1, 0)) == (0, 1, 0)
+    assert reduce_to_chamber(A, (2, 0, 0)) is None
+    assert reduce_to_chamber(A, (1, 0, 1)) is None

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootmult import MultiplicityTable, SerreQuotient, rank3_chain
-from rootmult.gcm import cartan_matrix
+from rootmult.gcm import cartan_matrix, reduce_to_chamber
 
 from conftest import REVERSIBLE_CHAINS, OffByOneTable, form, weights_of_height, weights_up_to
 
@@ -329,7 +329,25 @@ def test_quotient_is_nonzero_exactly_at_roots(chain):
     engine = SerreQuotient(A)
     weights = [lam for lam in weights_of_height(9) if max(lam) <= 4]
     assert len(weights) == 114
-    assert [lam for lam in weights if (engine.multiplicity(lam) > 0) != is_root(A, lam)] == []
+    mults = {lam: engine.multiplicity(lam) for lam in weights}
+    assert [lam for lam in weights if (mults[lam] > 0) != is_root(A, lam)] == []
+    # Frenkel's bound (see test_multiplicities_meet_frenkels_bound) on the
+    # quotient's own table; the finite chain (1, 1) has no Lorentzian lattice
+    if max(chain) >= 2:
+        roots = [(lam, m, 1 - form(A, lam, lam) // 2) for lam, m in mults.items() if m]
+        p = partitions(max(k for _, _, k in roots))
+        assert [(lam, m) for lam, m, k in roots if m > p[k]] == []
+
+
+@pytest.mark.parametrize("chain", ROOT_TEST_CHAINS)
+def test_reduction_to_the_chamber_keeps_the_multiplicity(filled_boxes, chain):
+    # the reduced weight is lower, so it lies in the same box; None is no root
+    A = rank3_chain(*chain)
+    mults = {lam: m for lam, m, _ in filled_boxes[chain]}
+    reduced = {lam: reduce_to_chamber(A, lam) for lam in mults}
+    assert [lam for lam, low in reduced.items() if mults[lam] != (mults[low] if low else 0)] == []
+    # the walk stops only where it cannot go on
+    assert all(reduce_to_chamber(A, low) == low for low in reduced.values() if low)
 
 
 # with a2 = 2, nodes {2, 3} form the affine A1^(1), whose imaginary roots are
@@ -436,12 +454,20 @@ def test_levels_up_to_a1_are_free_on_level_one(filled_boxes, chain):
     # below it the positive levels are free on g_1, and at it they are not,
     # so a chain with a1 = 1 has only the level that must fail
     mults = {lam: m for lam, m, _ in filled_boxes[chain]}
-    a1 = chain[0]
+    a1, a2 = chain
     for level in range(2, a1 + 2):
         weights = [lam for lam in mults if lam[0] == level]
         assert len(weights) == 11**2
         bad = level_mismatches(mults.__getitem__, level, weights)
         assert bool(bad) == (level > a1), (level, bad[:3])
+    # the same for the grading by n3, whose first relation (ad e3)^(1+a2) e2
+    # is at level 1 + a2: read backwards, the weights are those of the
+    # reversed chain (a2, a1), graded by n1
+    for level in range(2, a2 + 2):
+        weights = [lam[::-1] for lam in mults if lam[2] == level]
+        assert len(weights) == 11**2
+        bad = level_mismatches(lambda lam: mults[lam[::-1]], level, weights)
+        assert bool(bad) == (level > a2), (level, bad[:3])
 
 
 @pytest.mark.parametrize("chain", [(2, 2), (2, 3)])

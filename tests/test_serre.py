@@ -244,16 +244,6 @@ def test_space_over_zero_spaces_is_stored_empty(engine12):
     )
 
 
-def test_shared_suffixes_evaluate_as_fresh_tuples(engine12):
-    lam = (2, 3, 2)
-    engine12.multiplicity(lam)
-    done = {}
-    for t in standard_tuples_of_weight(lam):
-        assert engine12._evaluate(t, done) == engine12._evaluate(t, {}), t
-    # every proper suffix of length >= 2 was recorded on the way
-    assert all(t[k:] in done for t in standard_tuples_of_weight(lam) for k in range(len(t) - 1))
-
-
 @pytest.fixture(scope="module")
 def chain_engines():
     return {
