@@ -21,6 +21,8 @@ from .gcm import query_weight
 # A left-normed bracket [e_{t[0]}, [e_{t[1]}, [... [e_{t[-2]}, e_{t[-1]}] ...]]]
 # is encoded as the tuple t of its generator indices, outermost first.
 StandardTuple = tuple[int, ...]
+# the letters a byte of a word can hold; 0 marks a split walk's operator slot
+_WORD_LETTERS = frozenset(range(1, 256))
 
 # deepest bracket nesting parse_bracket accepts.  The parser keeps its own
 # stack, but the rewriter and the tensor expansion recurse once per level, so
@@ -215,7 +217,7 @@ def _left_quotient(coeffs: Mapping[bytes, int], a: int) -> dict[bytes, int]:
 
 def _tensor_words(x: BracketExpr, first: int | None) -> dict[bytes, int]:
     if isinstance(x, int):
-        if not 1 <= x <= 255:
+        if x not in _WORD_LETTERS:
             raise ValueError(f"generator index {x} does not fit the word encoding")
         words = {bytes([x]): 1}
         return words if first is None else _left_quotient(words, first)
@@ -267,8 +269,6 @@ def expand_combination(
     tails are bracketed by the group's last letter into the sum of its
     parent group, and terms cancel before the next bracket.  Working by
     levels rather than by recursion keeps long tuples off the call stack.
-    Zero coefficients are skipped.  A sum that passes
-    :data:`MAX_EXPAND_WORDS` raises ``ValueError``.
 
     With ``first`` = a, return only the left quotient a⁻¹E, as
     :func:`expand_tensor` does.  A prefix that contains a holds its full
@@ -288,33 +288,29 @@ def expand_combination(
     others add d·α[1:]·E(C)·β, and an empty α adds d·(a⁻¹E(C))·β.  E(C) is
     expanded in full when some α begins with a, and a⁻¹E(C) is read off it;
     otherwise only a⁻¹E(C) is walked.  The result is the same for every m
-    in 1..n; a split at the root of the tree the tuples came from groups
-    most.  The rewriter prints [L, R] as a Lie element P of the shorter
-    child applied to the longer child's tuples, so every operator is a
-    multiple of ad(P) = P⊗1 - 1⊗P and there is one group; only root
-    children of equal leaf count, whose pairs the rewriter orders one by
-    one, can form more.  A split with fewer than two letters before it runs
-    the prefix walk, whose last level already groups the tuples by their
-    first letter.  Every operator, every C's expansion and the sum are held
-    to :data:`MAX_EXPAND_WORDS`.
+    in 1..n, and no split is the split n; a split at the root of the tree
+    the tuples came from groups most.  The rewriter prints [L, R] as a Lie
+    element P of the shorter child applied to the longer child's tuples, so
+    every operator is a multiple of ad(P) = P⊗1 - 1⊗P and there is one
+    group; only root children of equal leaf count, whose pairs the rewriter
+    orders one by one, can form more.  A split with fewer than two letters
+    before it runs the prefix walk, whose last level already groups the
+    tuples by their first letter.
+
+    Zero coefficients are skipped, but every split raises ``ValueError`` on
+    an empty tuple, tuples of mixed length or a letter outside 1..255, which
+    a byte-string word cannot hold, on a split outside 1..n, and on an
+    operator, a C's expansion or a sum past :data:`MAX_EXPAND_WORDS`.
     """
-    if split is None:
-        return NcPolynomial(_combination_words(coeffs, first))
     return NcPolynomial(_split_words(coeffs, first, split))
 
 
 def _combination_words(coeffs: Mapping[StandardTuple, int], a: int | None) -> dict[bytes, int]:
-    if not coeffs:
-        return {}
     n = len(next(iter(coeffs)))
-    if n == 0:
-        raise ValueError("empty standard tuple")
     # each prefix of length n - 1 maps to the sum of k * e_{t[-1]} below it,
     # or to its a-quotient: k times the empty word when t[-1] = a
     level: dict[StandardTuple, dict[bytes, int]] = {}
     for t, k in coeffs.items():
-        if len(t) != n:
-            raise ValueError("standard tuples of mixed length")
         if not k:
             continue
         if a is None or a in t[:-1]:
@@ -348,25 +344,28 @@ def _content(coeffs: Mapping) -> tuple[int, tuple]:
 
 
 def _split_words(
-    coeffs: Mapping[StandardTuple, int], a: int | None, m: int
+    coeffs: Mapping[StandardTuple, int], a: int | None, m: int | None
 ) -> dict[bytes, int]:
     if not coeffs:
         return {}
     n = len(next(iter(coeffs)))
-    if not 1 <= m <= n:
+    if n == 0:
+        raise ValueError("empty standard tuple")
+    k = 0 if m is None else n - m
+    if not 0 <= k < n:
         raise ValueError(f"split {m} outside 1..{n}")
-    k = n - m
-    if k < 2:
-        # the prefix walk's last level already groups the tuples by one letter
-        return _combination_words(coeffs, a)
     groups: dict[StandardTuple, dict[StandardTuple, int]] = {}
     for t, c in coeffs.items():
         if len(t) != n:
             raise ValueError("standard tuples of mixed length")
-        if 0 in t:
-            raise ValueError("generator index 0 does not fit the word encoding")
-        if c:
+        if not _WORD_LETTERS.issuperset(t):
+            bad = next(x for x in t if x not in _WORD_LETTERS)
+            raise ValueError(f"generator index {bad} does not fit the word encoding")
+        if c and k >= 2:
             groups.setdefault(t[k:], {})[t[:k] + (0,)] = c
+    if k < 2:
+        # the prefix walk's last level already groups the tuples by one letter
+        return _combination_words(coeffs, a)
     # suffixes whose groups are proportional share one operator walk
     operators: dict[tuple, dict[StandardTuple, int]] = {}
     for s, heads in groups.items():

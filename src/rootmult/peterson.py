@@ -83,11 +83,10 @@ class MultiplicityTable:
         self._cnum = {w: c * factor for w, c in self._cnum.items()}
         self._denom = target
 
-    def _convolution(self, lam: tuple[int, ...]) -> int:
-        """Right-hand side, scaled by denom**2, summed over mu <= lam - mu only."""
+    def _convolution(self, lam: tuple[int, ...], a_lam: list[int]) -> int:
+        """Right-hand side, scaled by denom**2, over mu <= lam - mu; ``a_lam`` is A lam."""
         cnum = self._cnum
         norm = self._norm
-        a_lam = [sum(map(mul, row, lam)) for row in self.algebra]
         half = (range(lam[0] // 2 + 1),) + tuple(range(c + 1) for c in lam[1:])
         total = 0
         for mu in itertools.product(*half):
@@ -130,7 +129,7 @@ class MultiplicityTable:
                     self._mult[lam] = mult
                     self._cnum[lam] = divisor_part + mult * denom
                     return
-        rhs = self._convolution(lam)
+        rhs = self._convolution(lam, a_lam)
         if lead == 0:
             if rhs != 0:
                 raise RecurrenceError(

@@ -117,8 +117,8 @@ class OffByOneTable(MultiplicityTable):
     multiplicity 2 + 1/60 is not an integer.
     """
 
-    def _convolution(self, lam: tuple[int, ...]) -> int:
-        rhs = super()._convolution(lam)
+    def _convolution(self, lam: tuple[int, ...], a_lam: list[int]) -> int:
+        rhs = super()._convolution(lam, a_lam)
         if lam != (1, 2, 2):
             return rhs
         return rhs + self._denom * (self._norm[lam] - 2 * sum(lam))

@@ -255,6 +255,45 @@ def test_help_prints_the_usage_from_the_table(capsys, command, flag):
         assert run(*MULT, flag, "--method", "magic") == (0, out)
 
 
+# the usage screens byte for byte, so a change to the usage builder shows
+USAGE_SCREENS = {
+    None: (
+        "usage: rootmult {mult,rewrite,compare,witt} ...\n"
+        "\n"
+        "Exact root multiplicities of rank-3 chain Kac-Moody algebras.\n"
+        "\n"
+        "commands:\n"
+        "  mult     multiplicity of a single weight\n"
+        "  rewrite  rewrite a bracket expression\n"
+        "  compare  grid report over LO..HI in each coefficient, without the zero weight\n"
+        "  witt     free Lie algebra dimension of a multidegree\n"
+    ),
+    "mult": (
+        "usage: rootmult mult --gcm a1,a2 --weight n1,n2,n3"
+        " --method {formula,peterson,quotient,tuples}"
+        " [--variant {section44,lemma410,guarded}] [--height-cap N]\n"
+        "\n"
+        "multiplicity of a single weight\n"
+    ),
+    "rewrite": "usage: rootmult rewrite expression [--verify]\n\nrewrite a bracket expression\n",
+    "compare": (
+        "usage: rootmult compare --gcm a1,a2 --range LO..HI [--format {csv,json}]"
+        " [--out PATH] [--height-cap N]\n"
+        "\n"
+        "grid report over LO..HI in each coefficient, without the zero weight\n"
+    ),
+    "witt": (
+        "usage: rootmult witt --weight n1,...,nr\n\nfree Lie algebra dimension of a multidegree\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", USAGE_SCREENS)
+def test_usage_screens_are_pinned(command):
+    argv = ("-h",) if command is None else (command, "-h")
+    assert run(*argv) == (0, USAGE_SCREENS[command])
+
+
 # argv vocabulary for the exit-contract fuzz: the real commands and flags and
 # values small enough that every engine answers in milliseconds (heights up to
 # 6, ranges inside 0..2).  A word with a space is two tokens, and OUT stands

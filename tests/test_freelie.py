@@ -410,9 +410,20 @@ def test_split_input_checks():
     for m in (0, 4):
         with pytest.raises(ValueError, match="split"):
             expand_combination({(1, 2, 3): 1}, split=m)
-    # the letter 0 marks the operator's argument
-    with pytest.raises(ValueError, match="index 0"):
-        expand_combination({(1, 0, 3): 1}, split=1)
+    # no split is the split n, and every split refuses a bad combination with
+    # one message: the letter 0 marks the operator's argument, and a word is
+    # a byte string
+    for combo, message in [
+        ({(1, 0, 3): 1}, "generator index 0 does not fit the word encoding"),
+        ({(1, 2, 3): 1, (1, 2, 0): 2}, "generator index 0 does not fit the word encoding"),
+        ({(1, 256, 3): 1}, "generator index 256 does not fit the word encoding"),
+        ({(): 1}, "empty standard tuple"),
+    ]:
+        for m in (None, *range(1, len(next(iter(combo))) + 1)):
+            for first in (None, 1):
+                with pytest.raises(ValueError) as caught:
+                    expand_combination(combo, first, split=m)
+                assert str(caught.value) == message, (combo, m, first)
 
 
 @pytest.mark.parametrize(

@@ -218,7 +218,8 @@ def test_reflected_cells_keep_the_peterson_identity(chain):
         lead = form(A, lam, lam) - 2 * sum(lam)
         if lead and any(form(A, lam, s) > 0 for s in simples):
             reflected += 1
-            assert table._convolution(lam) == table._denom * lead * cnum, lam
+            a_lam = [form(A, lam, s) for s in simples]
+            assert table._convolution(lam, a_lam) == table._denom * lead * cnum, lam
         else:
             convolved += 1
     assert reflected > convolved
