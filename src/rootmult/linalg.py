@@ -34,9 +34,10 @@ class EchelonBasis:
     were kept.  Every kept row is zero at the pivots of the others, has a
     positive entry at its own pivot and content 1.  So a new row x is reduced
     in one step, L*x - sum of (x[p]*L/b[p])*b over the kept rows b with
-    x[p] != 0, where L is the lcm of their pivot entries.  What is left, if
-    anything, is divided by its content, its smallest column becomes its
-    pivot, that pivot is cleared from the rows kept before it, and it is kept.
+    x[p] != 0, where L is the lcm of their pivot entries, 1 when there are
+    none.  What is left, if anything, is divided by its content, its
+    smallest column becomes its pivot, that pivot is cleared from the rows
+    kept before it, and it is kept.
     All arithmetic is in the integers, so the span is exact over the
     rationals.  Rows passed in are never mutated, and kept rows are replaced
     rather than changed, so a caller may hold on to either.
@@ -52,16 +53,16 @@ class EchelonBasis:
         return len(self.pivots)
 
     def insert(self, row: Mapping[Any, int]) -> bool:
-        """Reduce ``row`` against the basis and keep what is left; True if anything was."""
+        """Reduce ``row`` against the basis and keep what is left; True if anything was.
+
+        The row is scaled by the lcm of the pivot entries it meets, 1 if none.
+        """
         basis = self.pivots
-        x = {c: v for c, v in row.items() if v}
-        used = [p for p in x if p in basis]
-        if used:
-            common = math.lcm(*(basis[p][p] for p in used))
-            reduced = {c: common * v for c, v in x.items()}
-            for p in used:
-                _axpy(reduced, -(x[p] * common // basis[p][p]), basis[p])
-            x = reduced
+        used = [p for p, v in row.items() if v and p in basis]
+        common = math.lcm(*(basis[p][p] for p in used))
+        x = {c: common * v for c, v in row.items() if v}
+        for p in used:
+            _axpy(x, -(row[p] * common // basis[p][p]), basis[p])
         if not x:
             return False
         q = min(x)

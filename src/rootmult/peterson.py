@@ -76,7 +76,7 @@ class MultiplicityTable:
 
     def _grow_denominator(self, height: int) -> None:
         # never shrink: queries can arrive in any height order
-        target = lcm(self._denom, *range(2, height + 1)) if height > 1 else self._denom
+        target = lcm(self._denom, *range(2, height + 1))
         if target == self._denom:
             return
         factor = target // self._denom

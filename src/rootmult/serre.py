@@ -37,6 +37,12 @@ from .linalg import EchelonBasis, Row, _axpy, _divide
 Matrix = tuple[list[Row], int]
 
 
+def _lowest_terms(rows: list[Row], den: int) -> Matrix:
+    """``(rows, den)`` with the gcd of the denominator and every entry divided out."""
+    g = math.gcd(den, *(v for row in rows for v in row.values()))
+    return [_divide(row, g) for row in rows], den // g
+
+
 class _Space(NamedTuple):
     """The root space g_mu in coordinates, with the maps [e_i, .] into it.
 
@@ -124,7 +130,7 @@ class SerreQuotient:
             mu = lam[:i] + (lam[i] - 1,) + lam[i + 1 :]
             # [e_i, .] on block j runs from g_{lam - alpha_i - alpha_j} to g_{lam - alpha_j}
             maps = {j: low[j].raising[i] for j, c in enumerate(mu) if c}
-            common = math.lcm(1, *(den for _, den in maps.values()))
+            common = math.lcm(*(den for _, den in maps.values()))
             scale = src.image_den * common
             shift = scale * sum(a * m for a, m in zip(A[i], mu))
             rows: list[Row] = []
@@ -146,13 +152,11 @@ class SerreQuotient:
         raising: dict[int, Matrix] = {i: ([], 1) for i in low}
         for i, (rows, den) in candidates.items():
             cols = [{m: row[p] for m, p in enumerate(pivots) if p in row} for row in rows]
-            g = math.gcd(den, *(v for col in cols for v in col.values()))
-            raising[i] = ([_divide(col, g) for col in cols], den // g)
-        image_den = math.lcm(1, *(b[p] for p, b in pivots.items()))
+            raising[i] = _lowest_terms(cols, den)
+        image_den = math.lcm(*(b[p] for p, b in pivots.items()))
         images = [{c: v * (image_den // b[p]) for c, v in b.items()} for p, b in pivots.items()]
-        g = math.gcd(image_den, *(v for row in images for v in row.values()))
-        images = [_divide(row, g) for row in images]
-        return _Space(basis.rank, blocks, images, image_den // g, raising)
+        images, image_den = _lowest_terms(images, image_den)
+        return _Space(basis.rank, blocks, images, image_den, raising)
 
     def _space(self, coeffs: tuple[int, ...]) -> _Space:
         spaces = self._spaces
@@ -164,23 +168,24 @@ class SerreQuotient:
                     spaces[mu] = self._build(mu)
         return spaces[coeffs]
 
-    def _evaluate(self, t: StandardTuple) -> tuple[Row, int]:
-        """Coordinates of the left-normed bracket ``t`` as (integers, denominator).
+    def _evaluate(self, t: StandardTuple) -> Row:
+        """Integer coordinates of the left-normed bracket ``t``, times a positive factor.
 
         The bracket is E_{t1} ... E_{t(n-1)} e_{tn}, applied right to left;
-        every space on the way must already be built.
+        every space on the way must already be built.  The maps' denominators
+        are left out: their product is the factor, which no rank sees.
         """
         mu = [0] * len(self.algebra)
         mu[t[-1] - 1] = 1
-        vec, den = {0: 1}, 1
+        vec = {0: 1}
         for s in reversed(t[:-1]):
             mu[s - 1] += 1
-            cols, d = self._spaces[tuple(mu)].raising[s - 1]
+            cols = self._spaces[tuple(mu)].raising[s - 1][0]
             out: Row = {}
             for c, v in vec.items():
                 _axpy(out, v, cols[c])
-            vec, den = out, den * d
-        return vec, den
+            vec = out
+        return vec
 
     def multiplicity(self, lam: Sequence[int]) -> int:
         """dim g_lam, checked against the free Lie dimension it is a quotient of."""
@@ -200,27 +205,33 @@ class SerreQuotient:
 
         Each tuple t is evaluated as E_{t1} ... E_{t(n-1)} e_{tn} through the
         matrices of [e_i, .]; the result is the rank of those coordinates.
-        The family may be any iterable; it is read once.  The tuples are
-        evaluated one at a time, and the rest are skipped once the rank
-        reaches dim g_lam, which it cannot pass.
+        The family may be any iterable; it is read once, and every tuple is
+        checked before any is evaluated: each letter is read by
+        ``operator.index`` and must lie in 1..rank, and the multidegree must
+        be lam, else ``ValueError``.  The tuples are evaluated one at a time,
+        and the rest are skipped once the rank reaches dim g_lam, which it
+        cannot pass; an empty family has rank 0.
         """
         lam = query_weight(self.algebra, lam)
         self._check_height(lam)
         rank = len(self.algebra)
-        family = tuple(family)
+        words = []
         for t in family:
+            try:
+                t = tuple(map(index, t))
+            except TypeError:
+                raise ValueError(f"tuple {t!r}: generator indices must be integers") from None
             for i in t:
                 if not 1 <= i <= rank:
                     raise ValueError(f"tuple {t}: generator index {i} outside 1..{rank}")
             degree = tuple(t.count(i + 1) for i in range(rank))
             if degree != lam:
                 raise ValueError(f"tuple {t} has multidegree {degree}, expected {lam}")
-        if not family:
-            return 0
+            words.append(t)
         dim = self._space(lam).dim
         basis = EchelonBasis()
-        for t in family:
+        for t in words:
             if basis.rank == dim:
                 break
-            basis.insert(self._evaluate(t)[0])
+            basis.insert(self._evaluate(t))
         return basis.rank

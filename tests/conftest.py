@@ -90,6 +90,9 @@ def corrupted(rng: random.Random, combo: dict, degree: tuple[int, ...]) -> tuple
 
 # chains whose reversal (a2, a1) is a different algebra
 REVERSIBLE_CHAINS = ((1, 2), (1, 3), (2, 3))
+# the chains the reversal and Weyl-invariance tests sample; (2, 2) is its own
+# reversal, so there reversal is a symmetry of one algebra
+WEYL_CHAINS = REVERSIBLE_CHAINS + ((2, 2),)
 
 
 def weights_up_to(height: int):

@@ -13,7 +13,7 @@ from rootmult.gcm import cartan_matrix
 from rootmult.serre import _Space
 
 from conftest import (
-    REVERSIBLE_CHAINS,
+    WEYL_CHAINS,
     expand_tuple,
     in_relation_ideal,
     matrix_rank,
@@ -167,6 +167,10 @@ def test_standard_form_rank_examples(chain12, engine12):
     for lam, t, bad in (((1, 1, 0), (1, 2, 4), 4), ((0, 1, 1), (0, 2, 3), 0)):
         with pytest.raises(ValueError, match=rf"generator index {bad} outside 1\.\.3"):
             engine12.standard_form_rank(lam, [t])
+    # a letter is read by operator.index, as a weight coefficient is
+    for t in ((1, 2.0, 3), ("1", 2, 3)):
+        with pytest.raises(ValueError, match="generator indices must be integers"):
+            engine12.standard_form_rank((1, 1, 1), [t])
 
 
 def test_standard_form_rank_reads_any_iterable_once(engine12):
@@ -248,13 +252,13 @@ def test_space_over_zero_spaces_is_stored_empty(engine12):
 def chain_engines():
     return {
         pair: SerreQuotient(rank3_chain(*pair))
-        for a1, a2 in REVERSIBLE_CHAINS
+        for a1, a2 in WEYL_CHAINS
         for pair in ((a1, a2), (a2, a1))
     }
 
 
 @settings(max_examples=200, deadline=None)
-@given(chain=st.sampled_from(REVERSIBLE_CHAINS), weight=weights_up_to(7))
+@given(chain=st.sampled_from(WEYL_CHAINS), weight=weights_up_to(7))
 def test_chain_reversal(chain_engines, chain, weight):
     # reversing the chain relabels the simple roots 1 <-> 3
     a1, a2 = chain
