@@ -90,32 +90,22 @@ class ComparisonRow(NamedTuple):
 CSV_HEADER = ",".join(ComparisonRow._fields)
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'a1,a2', got {text!r}")
-    try:
-        a1, a2 = (int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"expected integers in {text!r}") from None
-    return a1, a2
+def _integers(text: str, count: int = 0, sep: str = ",") -> tuple[int, ...]:
+    """The integers of ``text`` split at ``sep``; exactly ``count`` of them unless it is 0.
 
-
-def _parse_weight(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+    Each is ASCII digits after an optional '-', as in the bracket parser:
+    ``int`` alone would also read '+5', ' 1', '1_0' and digits such as '٢'.
+    """
+    parts = text.split(sep)
+    digits = [p.removeprefix("-") for p in parts]
+    if (count and len(parts) != count) or not all(d.isascii() and d.isdigit() for d in digits):
+        form = sep.join(["N"] * count) if count else f"N{sep}N{sep}..."
+        raise ValueError(f"expected {form} (N: ASCII digits after an optional '-'), got {text!r}")
+    return tuple(map(int, parts))
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    parts = text.split("..")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'LO..HI', got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"expected integers in {text!r}") from None
+    lo, hi = _integers(text, 2, "..")
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
     if lo < 0:
@@ -124,10 +114,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _parse_height_cap(text: str) -> int:
-    try:
-        cap = int(text)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {text!r}") from None
+    (cap,) = _integers(text, 1)
     if cap < 1:
         raise ValueError(f"height cap must be >= 1, got {cap}")
     return cap
@@ -297,24 +284,23 @@ def _cmd_compare(args: SimpleNamespace, out: IO[str]) -> int:
     _note_finite_type(a1, a2)
     lo, hi = args.range
 
-    sink = open(args.out, "w", encoding="utf-8") if args.out else out
+    sink = out if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
         if args.format == "csv":
             print(CSV_HEADER, file=sink)
-        try:
-            for row in compare_rows(a1, a2, lo, hi, height_cap=args.height_cap):
-                print(row.csv_line() if args.format == "csv" else row.json_line(), file=sink)
-        except COMPUTE_ERRORS as exc:
-            # leave a partial report with an explicit truncation marker
-            if args.format == "csv":
-                print(f"# truncated: {exc}", file=sink)
-            else:
-                import json
+        for row in compare_rows(a1, a2, lo, hi, height_cap=args.height_cap):
+            print(row.csv_line() if args.format == "csv" else row.json_line(), file=sink)
+    except COMPUTE_ERRORS as exc:
+        # leave a partial report with an explicit truncation marker
+        if args.format == "csv":
+            print(f"# truncated: {exc}", file=sink)
+        else:
+            import json
 
-                print(json.dumps({"truncated": str(exc)}), file=sink)
-            raise
+            print(json.dumps({"truncated": str(exc)}), file=sink)
+        raise
     finally:
-        if args.out:
+        if args.out is not None:
             sink.close()
     return EXIT_OK
 
@@ -361,7 +347,7 @@ def build_parser() -> dict[str, Command]:
 
     Parsing only reads it.
     """
-    gcm = (_parse_pair, None, "a1,a2")
+    gcm = (lambda text: _integers(text, 2), None, "a1,a2")
     height_cap = (_parse_height_cap, DEFAULT_HEIGHT_CAP, "N")
     return {
         "mult": Command(
@@ -369,7 +355,7 @@ def build_parser() -> dict[str, Command]:
             "multiplicity of a single weight",
             {
                 "--gcm": gcm,
-                "--weight": (_parse_weight, None, "n1,n2,n3"),
+                "--weight": (_integers, None, "n1,n2,n3"),
                 "--method": _choice(("formula", "peterson", "quotient", "tuples")),
                 "--variant": _choice(VARIANTS, "guarded"),
                 "--height-cap": height_cap,
@@ -398,7 +384,7 @@ def build_parser() -> dict[str, Command]:
         "witt": Command(
             _cmd_witt,
             "free Lie algebra dimension of a multidegree",
-            {"--weight": (_parse_weight, None, "n1,...,nr")},
+            {"--weight": (_integers, None, "n1,...,nr")},
             required=("--weight",),
         ),
     }

@@ -58,10 +58,12 @@ class MultiplicityTable:
     Internally c-values are stored as integer numerators over one shared
     denominator (the lcm of 1..H for the largest height H seen), so the
     convolution runs on plain integers; every division is checked exact.
-    A cell of height >= 2 with a nonzero left factor and (lam, alpha_i) > 0
-    for some i takes its multiplicity from s_i lam, for the first such i;
-    every other cell solves the recurrence.  A table is bound to one
-    algebra; fresh tables give identical values.
+    The simple roots are seeded at construction, so ``computed()`` holds
+    them even in a fresh table.  A cell of height >= 2 with a nonzero left
+    factor and (lam, alpha_i) > 0 for some i takes its multiplicity from
+    s_i lam, for the first such i; every other cell solves the recurrence.
+    Either way the cell is stored once, from its multiplicity.  A table is
+    bound to one algebra; fresh tables give identical values.
     """
 
     def __init__(self, A: Sequence[Sequence[int]]) -> None:
@@ -69,9 +71,11 @@ class MultiplicityTable:
         if A != tuple(zip(*A)):
             raise ValueError("recurrence requires a symmetric Cartan matrix")
         self.algebra = A
-        self._mult: dict[tuple[int, ...], int] = {}
-        self._cnum: dict[tuple[int, ...], int] = {}
-        self._norm: dict[tuple[int, ...], int] = {}  # (lam, lam) of every filled cell
+        # the simple roots: mult 1, c 1 over the denominator 1, (alpha_i, alpha_i) = A_ii
+        simples = [tuple(int(i == j) for j in range(len(A))) for i in range(len(A))]
+        self._mult = dict.fromkeys(simples, 1)
+        self._cnum = dict.fromkeys(simples, 1)
+        self._norm = {s: A[i][i] for i, s in enumerate(simples)}  # (lam, lam) of every filled cell
         self._denom = 1
 
     def _grow_denominator(self, height: int) -> None:
@@ -107,51 +111,45 @@ class MultiplicityTable:
         # A lam gives both (lam, alpha_i) = (A lam)_i and (lam, lam) = lam . A lam
         a_lam = [sum(map(mul, row, lam)) for row in self.algebra]
         norm = self._norm[lam] = sum(map(mul, lam, a_lam))
-        height = sum(lam)
         denom = self._denom
-        if height == 1:
-            self._mult[lam] = 1
-            self._cnum[lam] = denom
-            return
         g = gcd(*lam)
         divisor_part = 0  # sum of mult(lam/k)/k for k >= 2, scaled by denom
         for k in range(2, g + 1):
             if g % k:
                 continue
             divisor_part += self._mult[tuple(c // k for c in lam)] * (denom // k)
-        lead = norm - 2 * height
-        if lead:
+        lead = norm - 2 * sum(lam)
+        for i, p in enumerate(a_lam):
             # s_i lam = lam - (lam, alpha_i) alpha_i lowers coefficient i only
-            for i, p in enumerate(a_lam):
-                if p > 0:
-                    low = lam[i] - p
-                    mult = self._mult[lam[:i] + (low,) + lam[i + 1 :]] if low >= 0 else 0
-                    self._mult[lam] = mult
-                    self._cnum[lam] = divisor_part + mult * denom
-                    return
-        rhs = self._convolution(lam, a_lam)
-        if lead == 0:
-            if rhs != 0:
-                raise RecurrenceError(
-                    f"recurrence singular at weight {lam}: zero left factor "
-                    f"with nonzero right-hand side"
-                )
-            self._mult[lam] = 0
-            self._cnum[lam] = divisor_part
-            return
-        cnum, rem = divmod(rhs, denom * lead)
-        if rem:
-            raise RecurrenceError(f"internal consistency failure: c-value at {lam} not exact")
-        mult, rem = divmod(cnum - divisor_part, denom)
-        if rem or mult < 0:
-            from fractions import Fraction
+            if lead and p > 0:
+                low = lam[i] - p
+                mult = self._mult[lam[:i] + (low,) + lam[i + 1 :]] if low >= 0 else 0
+                break
+        else:
+            rhs = self._convolution(lam, a_lam)
+            if lead == 0:
+                if rhs != 0:
+                    raise RecurrenceError(
+                        f"recurrence singular at weight {lam}: zero left factor "
+                        f"with nonzero right-hand side"
+                    )
+                mult = 0
+            else:
+                cnum, rem = divmod(rhs, denom * lead)
+                if rem:
+                    raise RecurrenceError(
+                        f"internal consistency failure: c-value at {lam} not exact"
+                    )
+                mult, rem = divmod(cnum - divisor_part, denom)
+                if rem or mult < 0:
+                    from fractions import Fraction
 
-            raise RecurrenceError(
-                f"internal consistency failure: multiplicity at {lam} "
-                f"is {Fraction(cnum - divisor_part, denom)}"
-            )
+                    raise RecurrenceError(
+                        f"internal consistency failure: multiplicity at {lam} "
+                        f"is {Fraction(cnum - divisor_part, denom)}"
+                    )
         self._mult[lam] = mult
-        self._cnum[lam] = cnum
+        self._cnum[lam] = divisor_part + mult * denom
 
     def _ensure(self, lam: tuple[int, ...]) -> None:
         if lam in self._mult:

@@ -153,9 +153,9 @@ class SerreQuotient:
         for i, (rows, den) in candidates.items():
             cols = [{m: row[p] for m, p in enumerate(pivots) if p in row} for row in rows]
             raising[i] = _lowest_terms(cols, den)
+        # rows of content 1, each scaled by lcm // its pivot entry: the gcd is already 1
         image_den = math.lcm(*(b[p] for p, b in pivots.items()))
         images = [{c: v * (image_den // b[p]) for c, v in b.items()} for p, b in pivots.items()]
-        images, image_den = _lowest_terms(images, image_den)
         return _Space(basis.rank, blocks, images, image_den, raising)
 
     def _space(self, coeffs: tuple[int, ...]) -> _Space:

@@ -178,8 +178,10 @@ def test_ac08_combinatorial_identities():
     total_bad = []
     dependent_bad = []
     trivial_bad = []
+    points = 0
     for a1, a2 in itertools.product((1, 2, 3), repeat=2):
         for n in itertools.product((2, 3, 4), repeat=3):
+            points += 1
             p = Params(a1, a2, *n)
             counts = interval_counts(*p)
             configs = enumerate_configs(p)
@@ -204,7 +206,7 @@ def test_ac08_combinatorial_identities():
     )
     report(
         f"AC-08 {'PASS' if not trivial_bad else 'FAIL'} trivial count identity: "
-        f"{len(trivial_bad)} of 729 grid points differ "
+        f"{len(trivial_bad)} of {points} grid points differ "
         f"(closed form pools the two ball colors into one stars-and-bars; "
         f"the pattern set it subtracts has the per-color product count; "
         f"first examples: {trivial_bad[:3]})"

@@ -208,6 +208,14 @@ MULT = ("mult", "--gcm", "1,2", "--weight", "2,2,2")
         (("rewrite", "e1", "--ver"), "'--ver'"),
         (("rewrite", "e1", "--verify=yes"), "--verify"),
         (("rewrite", "e1", "--height-cap", "3"), "'--height-cap'"),
+        # integers are ASCII digits after an optional '-', as in the bracket parser
+        (("mult", "--gcm", "1_0,2", "--weight", "2,2,2", "--method", "formula"), "--gcm"),
+        (("mult", "--gcm", "1,2", "--weight", "٢,2,2", "--method", "formula"), "--weight"),
+        (("compare", "--gcm", " 1, 2", "--range", "1..1"), "--gcm"),
+        (("compare", "--gcm", "1,2", "--range", "1..+2"), "--range"),
+        ((*MULT, "--method", "quotient", "--height-cap", "+5"), "--height-cap"),
+        (("witt", "--weight", "2,-"), "--weight"),
+        (("compare", "--gcm", "1,2,3", "--range", "1..1"), "--gcm"),
     ],
 )
 def test_malformed_command_lines_exit_2(capsys, argv, named):
@@ -523,9 +531,11 @@ def test_compare_csv_and_json_agree(tmp_path):
 
 def test_compare_unwritable_out_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing" / "x.csv"
-    code, out = run("compare", "--gcm", "1,2", "--range", "1..1", "--out", str(missing))
-    assert (code, out) == (cli.EXIT_USAGE, "")
-    assert len(error_lines(capsys)) == 1
+    # the empty path names no file: it is refused, not read as stdout
+    for path in (str(missing), ""):
+        code, out = run("compare", "--gcm", "1,2", "--range", "1..1", "--out", path)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert len(error_lines(capsys)) == 1
     assert not missing.exists()
 
 

@@ -329,6 +329,17 @@ def test_quotient_is_nonzero_exactly_at_roots(chain):
     assert len(weights) == 114
     mults = {lam: engine.multiplicity(lam) for lam in weights}
     assert [lam for lam in weights if (mults[lam] > 0) != is_root(A, lam)] == []
+    # every stored matrix is in lowest terms: the images by construction, as
+    # rows of content 1 scaled by the lcm of the pivots, the maps by a gcd pass
+    spaces = engine._spaces.values()
+    matrices = [(s.images, s.image_den) for s in spaces]
+    matrices += [m for s in spaces for m in s.raising.values()]
+    # the finite-type chain (1, 1) has integer maps only
+    assert any(den > 1 for _, den in matrices) == (max(chain) >= 2)
+    assert [
+        (cols, den) for cols, den in matrices
+        if math.gcd(den, *(v for col in cols for v in col.values())) != 1
+    ] == []
     # Weyl invariance (Kac, Prop. 5.1): mult(lam) = mult(s_i lam) for
     # p = (A lam)_i > 0, or 0 when s_i lam = lam - p alpha_i leaves the
     # positive cone; s_i lam is lower, so it is one of the weights
