@@ -222,15 +222,6 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def stars_and_bars(n: int, l: int) -> int:
-    """Number of ways to put n indistinguishable balls into l boxes: C(n+l-1, l-1)."""
-    if l <= 0:
-        raise ValueError(f"need at least one box, got {l}")
-    if n < 0:
-        raise ValueError(f"negative ball count {n}")
-    return binomial(n + l - 1, l - 1)
-
-
 class Params(NamedTuple):
     """Chain labels (a1, a2) and weight (n1, n2, n3) of one model point, unchecked.
 

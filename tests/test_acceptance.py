@@ -34,6 +34,7 @@ from rootmult.freelie import (
 
 from conftest import (
     Params,
+    binomial,
     compositions,
     enumerate_configs,
     expand_tuple,
@@ -46,7 +47,6 @@ from conftest import (
     poly_sum,
     random_expr,
     standard_tuples_of_weight,
-    stars_and_bars,
     weights_of_height,
 )
 
@@ -120,11 +120,12 @@ def test_ac04_finite_type_exactness():
 
 
 def test_ac05_stars_and_bars_brute_force():
+    # n balls in l boxes: C(n + l - 1, l - 1)
     for n in range(7):
         for l in range(1, 7):
             enumerated = sum(1 for _ in compositions(n, l))
-            assert enumerated == stars_and_bars(n, l), (n, l)
-    assert stars_and_bars(2, 4) == 10
+            assert enumerated == binomial(n + l - 1, l - 1), (n, l)
+    assert binomial(2 + 4 - 1, 4 - 1) == 10
     report("AC-05 PASS stars and bars: enumeration matches for 0<=n<=6, 1<=l<=6; (2,4)=10")
 
 

@@ -47,17 +47,6 @@ def run(*argv: str) -> tuple[int, str]:
 def test_mult_methods():
     assert run("mult", "--gcm", "1,2", "--weight", "1,1,1", "--method", "peterson") == (0, "1\n")
     assert run("mult", "--gcm", "1,2", "--weight", "2,1,0", "--method", "quotient") == (0, "0\n")
-    code, out = run(
-        "mult", "--gcm", "1,2", "--weight", "2,2,2", "--method", "formula",
-        "--variant", "guarded",
-    )
-    assert (code, out) == (0, "3\n")
-    assert run("mult", "--gcm", "1,2", "--weight", "2,2,2", "--method", "tuples") == (0, "3\n")
-    code, out = run(
-        "mult", "--gcm", "1,2", "--weight", "2,2,2", "--method", "formula",
-        "--variant", "section44",
-    )
-    assert (code, out) == (0, "1\n")
 
 
 def test_mult_peterson_asks_the_table_at_the_chamber_weight(monkeypatch):
@@ -82,25 +71,6 @@ def test_mult_peterson_asks_the_table_at_the_chamber_weight(monkeypatch):
     assert reduced[3:] == [(2, 2, 1)]
 
 
-def test_mult_formula_rejects_small_coefficients(capsys):
-    code, _ = run("mult", "--gcm", "1,2", "--weight", "1,1,1", "--method", "formula")
-    assert code == cli.EXIT_USAGE
-    assert "oracle" in capsys.readouterr().err
-    code, _ = run("mult", "--gcm", "1,2", "--weight", "1,1,1", "--method", "tuples")
-    assert code == cli.EXIT_USAGE
-
-
-def test_mult_refused_closed_form_prints_no_note(capsys):
-    # the finite-type note follows the value, so a refused weight writes the error alone
-    for method in ("formula", "tuples"):
-        code, out = run("mult", "--gcm", "1,1", "--weight", "2,1,2", "--method", method)
-        assert (code, out) == (cli.EXIT_USAGE, "")
-        assert capsys.readouterr().err == (
-            "error: closed form requires n1, n2, n3 >= 2; "
-            "use the recurrence or quotient oracle for smaller coefficients\n"
-        )
-
-
 def test_mult_quotient_cap(capsys):
     code, _ = run(
         "mult", "--gcm", "1,2", "--weight", "4,4,4", "--method", "quotient",
@@ -115,41 +85,10 @@ def test_mult_quotient_cap(capsys):
     assert (code, out) == (0, "1\n")
 
 
-def test_mult_bad_gcm(capsys):
-    code, _ = run("mult", "--gcm", "0,2", "--weight", "1,1,1", "--method", "peterson")
-    assert code == cli.EXIT_USAGE
-
-
 def error_lines(capsys) -> list[str]:
     err = capsys.readouterr().err
     assert "Traceback" not in err
     return [line for line in err.splitlines() if "error:" in line]
-
-
-def test_mult_zero_weight(capsys):
-    for method in ("peterson", "quotient"):
-        code, out = run("mult", "--gcm", "1,2", "--weight", "0,0,0", "--method", method)
-        assert (code, out) == (cli.EXIT_USAGE, "")
-        assert error_lines(capsys) == ["error: weight must have height >= 1"]
-
-
-def test_height_cap_below_one_exits_2(capsys):
-    for argv in (
-        ("mult", "--gcm", "1,2", "--weight", "1,1,1", "--method", "quotient"),
-        ("compare", "--gcm", "1,2", "--range", "1..2"),
-    ):
-        for cap in ("0", "-1"):
-            assert run(*argv, "--height-cap", cap) == (cli.EXIT_USAGE, "")
-            assert len(error_lines(capsys)) == 1
-
-
-def test_flag_errors_exit_2(capsys):
-    argv = ("mult", "--gcm", "1;2", "--weight", "1,1,1", "--method", "peterson")
-    assert run(*argv) == (cli.EXIT_USAGE, "")
-    assert len(error_lines(capsys)) == 1
-    argv = ("mult", "--gcm", "1,2", "--weight", "1,1,1", "--method", "magic")
-    assert run(*argv) == (cli.EXIT_USAGE, "")
-    assert len(error_lines(capsys)) == 1
 
 
 def test_cached_parser_carries_no_state_between_calls(capsys):
@@ -179,6 +118,10 @@ def test_cached_parser_carries_no_state_between_calls(capsys):
 
 
 MULT = ("mult", "--gcm", "1,2", "--weight", "2,2,2")
+SMALL_COEFFICIENTS = (
+    "error: closed form requires n1, n2, n3 >= 2; "
+    "use the recurrence or quotient oracle for smaller coefficients"
+)
 
 
 @pytest.mark.parametrize(
@@ -226,6 +169,70 @@ def test_malformed_command_lines_exit_2(capsys, argv, named):
     assert line.startswith("error: ") and named in line
 
 
+MULT12 = ("mult", "--gcm", "1,2", "--weight")
+HEIGHT = "error: weight must have height >= 1"
+LENGTH = "error: weight length 4 does not match rank 3"
+# the token after a flag is its value, so "-1,1,1" reaches the weight check
+NEGATIVE = "error: negative coefficient in weight (-1, 1, 1)"
+CAP = "error: argument --height-cap: height cap must be >= 1, got "
+
+# usage errors with their whole stderr line
+WHOLE_LINE_ERRORS = [
+    ((*MULT12, "0,0,0", "--method", "peterson"), HEIGHT),
+    ((*MULT12, "2,2,2,2", "--method", "peterson"), LENGTH),
+    ((*MULT12, "-1,1,1", "--method", "peterson"), NEGATIVE),
+    ((*MULT12, "0,0,0", "--method", "quotient"), HEIGHT),
+    ((*MULT12, "2,2,2,2", "--method", "quotient"), LENGTH),
+    ((*MULT12, "-1,1,1", "--method", "quotient"), NEGATIVE),
+    ((*MULT12, "0,0,0", "--method", "formula"), HEIGHT),
+    ((*MULT12, "2,2,2,2", "--method", "formula"), LENGTH),
+    ((*MULT12, "-1,1,1", "--method", "formula"), NEGATIVE),
+    ((*MULT12, "0,0,0", "--method", "tuples"), HEIGHT),
+    ((*MULT12, "2,2,2,2", "--method", "tuples"), LENGTH),
+    ((*MULT12, "-1,1,1", "--method", "tuples"), NEGATIVE),
+    (("witt", "--weight", "0,0"), HEIGHT),
+    (("witt", "--weight", "-1,2"), "error: negative coefficient in weight (-1, 2)"),
+    # a refused closed form writes the error alone, without the finite-type note
+    ((*MULT12, "1,1,1", "--method", "formula"), SMALL_COEFFICIENTS),
+    (("mult", "--gcm", "1,1", "--weight", "2,1,2", "--method", "formula"), SMALL_COEFFICIENTS),
+    ((*MULT12, "1,1,1", "--method", "tuples"), SMALL_COEFFICIENTS),
+    (("mult", "--gcm", "1,1", "--weight", "2,1,2", "--method", "tuples"), SMALL_COEFFICIENTS),
+    (
+        ("mult", "--gcm", "0,2", "--weight", "1,1,1", "--method", "peterson"),
+        "error: chain labels must be positive, got (0, 2)",
+    ),
+    ((*MULT12, "1,1,1", "--method", "quotient", "--height-cap", "0"), CAP + "0"),
+    ((*MULT12, "1,1,1", "--method", "quotient", "--height-cap", "-1"), CAP + "-1"),
+    (("compare", "--gcm", "1,2", "--range", "1..2", "--height-cap", "0"), CAP + "0"),
+    (("compare", "--gcm", "1,2", "--range", "1..2", "--height-cap", "-1"), CAP + "-1"),
+    (
+        ("mult", "--gcm", "1;2", "--weight", "1,1,1", "--method", "peterson"),
+        "error: argument --gcm: expected N,N (N: ASCII digits after an optional '-'), got '1;2'",
+    ),
+    (
+        (*MULT12, "1,1,1", "--method", "magic"),
+        "error: argument --method: invalid choice 'magic' "
+        "(choose from formula, peterson, quotient, tuples)",
+    ),
+    (("rewrite", "[e1,"), "error: unexpected end of input at position 4"),
+    (("rewrite", "e²"), "error: expected digits after 'e' at position 1"),
+    (("rewrite", "[e1,e٢]", "--verify"), "error: expected digits after 'e' at position 5"),
+    (("rewrite", "e300"), "error: generator index 300 out of range 1..3"),
+    (("rewrite", "e0", "--verify"), "error: generator index 0 out of range 1..3"),
+    (("rewrite", "[e1,e4]", "--verify"), "error: generator index 4 out of range 1..3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    WHOLE_LINE_ERRORS,
+    ids=[" ".join(a for a in argv if not a.startswith("--")) for argv, _ in WHOLE_LINE_ERRORS],
+)
+def test_usage_errors_print_the_whole_line(capsys, argv, expected):
+    assert run(*argv) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err == expected + "\n"
+
+
 def test_flags_by_equals_in_any_order_and_the_last_repeat_wins(capsys):
     three = (0, "3\n")
     assert run("mult", "--gcm=1,2", "--weight=2,2,2", "--method=formula") == three
@@ -237,11 +244,6 @@ def test_flags_by_equals_in_any_order_and_the_last_repeat_wins(capsys):
     assert run("rewrite", "--verify", "[[e1,e2],[e3,e2]]") == verified
     assert run("rewrite", "[[e1,e2],[e3,e2]]", "--verify", "--verify") == verified
     assert capsys.readouterr().err == ""
-    # the token after a flag is its value, so a negative weight reaches the weight check
-    for method in ("peterson", "quotient"):
-        argv = ("mult", "--gcm", "1,2", "--weight", "-1,1,1", "--method", method)
-        assert run(*argv) == (cli.EXIT_USAGE, "")
-        assert error_lines(capsys) == ["error: negative coefficient in weight (-1, 1, 1)"]
 
 
 @pytest.mark.parametrize("command", [None, *cli.build_parser()])
@@ -338,9 +340,6 @@ def test_main_returns_an_exit_code_for_every_command_line(first, words):
 def test_rewrite():
     assert run("rewrite", "[[e1,e2],e3]") == (0, "-1*[3,1,2]\n")
     assert run("rewrite", "e1") == (0, "+1*[1]\n")
-    code, out = run("rewrite", "[[e1,e2],[e3,e2]]", "--verify")
-    assert code == 0
-    assert out == "+1*[1,2,3,2]\n-1*[2,1,3,2]\nVERIFIED\n"
 
 
 def test_rewrite_verify_output_is_pinned():
@@ -408,31 +407,10 @@ def test_rewrite_verify_rejects_a_corrupted_heavy_combination(monkeypatch):
     assert run("rewrite", text, "--verify") == (cli.EXIT_COMPUTE, printed + "MISMATCH\n")
 
 
-def test_rewrite_rejects_generator_out_of_range(capsys):
-    for argv, index in ((("e300",), 300), (("e0", "--verify"), 0), (("[e1,e4]", "--verify"), 4)):
-        code, out = run("rewrite", *argv)
-        assert (code, out) == (cli.EXIT_USAGE, "")
-        assert error_lines(capsys) == [f"error: generator index {index} out of range 1..3"]
-
-
-def test_rewrite_parse_error(capsys):
-    code, _ = run("rewrite", "[e1,")
-    assert code == cli.EXIT_USAGE
-    assert "position" in capsys.readouterr().err
-
-
-def test_rewrite_refuses_digits_beyond_ascii(capsys):
-    for argv, position in ((("e²",), 1), (("[e1,e٢]", "--verify"), 5)):
-        assert run("rewrite", *argv) == (cli.EXIT_USAGE, "")
-        assert error_lines(capsys) == [f"error: expected digits after 'e' at position {position}"]
-
-
-def test_witt(capsys):
+def test_witt():
     assert run("witt", "--weight", "2,2,2") == (0, "14\n")
     assert run("witt", "--weight", "1,1") == (0, "1\n")
     assert run("witt", "--weight", "1,1,1,1") == (0, "6\n")
-    assert run("witt", "--weight", "-1,2") == (cli.EXIT_USAGE, "")
-    assert error_lines(capsys) == ["error: negative coefficient in weight (-1, 2)"]
 
 
 def test_values_past_the_digit_limit_exit_3(capsys):
@@ -499,11 +477,6 @@ def test_compare_csv_shape():
     assert last[:5] == ["1", "2", "3", "3", "3"]
     assert last[10] == "skipped"
     assert all(line.split(",")[11] in ("true", "false") for line in lines[1:])
-
-
-def test_compare_is_byte_deterministic():
-    args = ("compare", "--gcm", "2,2", "--range", "2..3", "--height-cap", "6")
-    assert run(*args) == run(*args)
 
 
 def test_compare_csv_and_json_agree(tmp_path):
@@ -593,13 +566,11 @@ def test_compare_marks_small_coefficients_na():
         assert r[9].lstrip("-").isdigit()  # peterson always present
 
 
-def test_compare_omits_the_zero_weight(capsys):
+def test_compare_omits_the_zero_weight():
     code, out = run("compare", "--gcm", "1,2", "--range", "0..1", "--height-cap", "6")
     assert code == 0
     rows = out.strip().split("\n")[1:]
     assert len(rows) == 2**3 - 1
-    assert run("compare", "--gcm", "1,2", "--range", "-1..1") == (cli.EXIT_USAGE, "")
-    assert len(error_lines(capsys)) == 1
 
 
 def test_compare_finite_type_note(capsys):
@@ -700,7 +671,8 @@ def test_mult_closed_form_methods_print_the_library_values():
         assert run(*argv, "--method", "tuples") == (0, f"{counts.canonical}\n"), (a1, a2, weight)
 
 
-def test_compare_oracle_disagreement_truncates(monkeypatch, capsys):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_compare_oracle_disagreement_truncates(monkeypatch, capsys, fmt):
     class LyingTable:
         def __init__(self, algebra):
             self.algebra = algebra
@@ -709,28 +681,16 @@ def test_compare_oracle_disagreement_truncates(monkeypatch, capsys):
             return 999
 
     monkeypatch.setattr(peterson, "MultiplicityTable", LyingTable)
-    code, out = run("compare", "--gcm", "1,2", "--range", "2..2", "--height-cap", "6")
+    argv = ("compare", "--gcm", "1,2", "--range", "2..2", "--format", fmt, "--height-cap", "6")
+    code, out = run(*argv)
     assert code == cli.EXIT_COMPUTE
-    assert out.splitlines()[0] == cli.CSV_HEADER
-    assert out.splitlines()[-1].startswith("# truncated: oracle disagreement")
+    lines = out.splitlines()
+    if fmt == "csv":
+        assert lines[0] == cli.CSV_HEADER
+        assert lines[-1].startswith("# truncated: oracle disagreement")
+    else:
+        assert json.loads(lines[-1])["truncated"].startswith("oracle disagreement")
     assert "oracle disagreement" in capsys.readouterr().err
-
-
-def test_compare_json_truncation_marker(monkeypatch):
-    class LyingTable:
-        def __init__(self, algebra):
-            self.algebra = algebra
-
-        def multiplicity(self, lam):
-            return 999
-
-    monkeypatch.setattr(peterson, "MultiplicityTable", LyingTable)
-    code, out = run(
-        "compare", "--gcm", "1,2", "--range", "2..2", "--format", "json",
-        "--height-cap", "6",
-    )
-    assert code == cli.EXIT_COMPUTE
-    assert json.loads(out.splitlines()[-1])["truncated"].startswith("oracle disagreement")
 
 
 def test_mult_reports_a_non_integral_multiplicity(monkeypatch, capsys):
@@ -740,18 +700,6 @@ def test_mult_reports_a_non_integral_multiplicity(monkeypatch, capsys):
     assert error_lines(capsys) == [
         "error: internal consistency failure: multiplicity at (1, 2, 2) is 121/60"
     ]
-
-
-def test_mult_closed_form_methods_check_the_weight(capsys):
-    for method in ("formula", "tuples"):
-        for weight, message in (
-            ("0,0,0", "weight must have height >= 1"),
-            ("2,2,2,2", "weight length 4 does not match rank 3"),
-            ("-1,1,1", "negative coefficient in weight (-1, 1, 1)"),
-        ):
-            code, out = run("mult", "--gcm", "1,2", "--weight", weight, "--method", method)
-            assert (code, out) == (cli.EXIT_USAGE, "")
-            assert error_lines(capsys) == [f"error: {message}"]
 
 
 def test_mult_quotient_tall_thin_weight():
